@@ -34,7 +34,6 @@ from .errors import (
     ConstructionError,
     DomainError,
     EdgeListError,
-    EmbedFailure,
     Graph6Error,
     LasVegasError,
     SizeRamseyError,
@@ -69,7 +68,6 @@ from .graphs import (
     complete_bipartite,
     complete_graph,
     cycle_graph,
-    degree_stats,
     emit_edge_list,
     emit_graph6,
     empty_graph,
@@ -102,7 +100,6 @@ from .verify import (
     certificate_from_json,
     certificate_to_json,
     find_subgraph,
-    fits_bipartite,
     max_mono_component,
     mono_copy,
     search_h_free_coloring,

@@ -44,6 +44,7 @@ from .verify import (
     Certificate,
     ColoringPlan,
     EdgeColoring,
+    backtrack_edge_coloring,
     mono_copy,
     search_h_free_coloring,
     verify_certificate,
@@ -192,27 +193,12 @@ def _exhaustive_proper(edges: list[tuple[int, int]], palette: int,
     """
     if len(edges) > max_edges:
         return None
-    at: dict[int, set[int]] = defaultdict(set)
-    out: dict[tuple[int, int], int] = {}
 
-    def rec(i: int, used: int) -> bool:
-        if i == len(edges):
-            return True
-        u, v = edges[i]
-        for c in range(1, min(used + 1, palette) + 1):
-            if c in at[u] or c in at[v]:
-                continue
-            at[u].add(c)
-            at[v].add(c)
-            out[edges[i]] = c
-            if rec(i + 1, max(used, c)):
-                return True
-            at[u].discard(c)
-            at[v].discard(c)
-            del out[edges[i]]
-        return False
+    def ends_alone(adj, u, v) -> bool:
+        return len(adj[u]) == 1 and len(adj[v]) == 1
 
-    return dict(out) if rec(0, 0) else None
+    _, found, _ = backtrack_edge_coloring(edges, palette, ends_alone)
+    return found
 
 
 def _proper_coloring(edges: list[tuple[int, int]], palette: int) -> _ProperState:
@@ -322,17 +308,13 @@ def _component_bounded_search(edges: list[tuple[int, int]], num_colors: int,
                               ) -> dict[tuple[int, int], int] | None:
     """Exhaustively color edges with num_colors so every monochromatic
     component stays below n_bound vertices; None if impossible or budget hit."""
-    adj: list[dict[int, set[int]]] = [dict() for _ in range(num_colors + 1)]
-    out: dict[tuple[int, int], int] = {}
-    nodes = 0
 
-    def component_small(c: int, start: int) -> bool:
-        seen = {start}
-        stack = [start]
-        a = adj[c]
+    def component_small(adj, u, v) -> bool:
+        seen = {u}
+        stack = [u]
         while stack:
             x = stack.pop()
-            for y in a.get(x, ()):
+            for y in adj[x]:
                 if y not in seen:
                     seen.add(y)
                     if len(seen) >= n_bound:
@@ -340,27 +322,9 @@ def _component_bounded_search(edges: list[tuple[int, int]], num_colors: int,
                     stack.append(y)
         return True
 
-    def rec(i: int, used: int) -> bool:
-        nonlocal nodes
-        if i == len(edges):
-            return True
-        u, v = edges[i]
-        for c in range(1, min(used + 1, num_colors) + 1):
-            nodes += 1
-            if nodes > node_budget:
-                return False
-            adj[c].setdefault(u, set()).add(v)
-            adj[c].setdefault(v, set()).add(u)
-            if component_small(c, u):
-                out[edges[i]] = c
-                if rec(i + 1, max(used, c)):
-                    return True
-                del out[edges[i]]
-            adj[c][u].discard(v)
-            adj[c][v].discard(u)
-        return False
-
-    return dict(out) if rec(0, 0) else None
+    _, found, _ = backtrack_edge_coloring(edges, num_colors, component_small,
+                                          node_budget)
+    return found
 
 
 def _color_small_part(g: Graph, vertices, n_bound: int, first_color: int,
@@ -545,7 +509,8 @@ def chi3_coloring(g: Graph, h: Graph, r: int, seed: int = 0,
             colors[(u, v)] = r + 1
     # Las Vegas cell partition of the remaining vertices
     q = q_for_partition(r)
-    assert r + q + 2 <= 3 * r, "partition palette exceeds the 3r budget"
+    if r + q + 2 > 3 * r:
+        raise ConstructionError("partition palette exceeds the 3r budget")
     plane = make_affine_plane(q)
     lines_through: list[list[int]] = [[] for _ in range(q * q)]
     for lid, pts in enumerate(plane.lines):
@@ -943,9 +908,10 @@ def double_star_coloring(g: Graph, n: int, m: int, r: int, seed: int = 0,
     r_high = r - r_low
     x = frozenset(v for v in g.vertices() if g.degree(v) <= r_low * m - 1)
     y = sorted(set(g.vertices()) - x)
-    assert Fraction(len(y)) < Fraction(r_high, 2) * (n + m), (
-        "high-degree part larger than the edge count permits"
-    )
+    if not Fraction(len(y)) < Fraction(r_high, 2) * (n + m):
+        raise ConstructionError(
+            f"{len(y)} high-degree vertices contradict the edge precondition"
+        )
     bucket_col, bucket_plan = vizing_bucket_coloring(g, x, r_low, m)
     colors = dict(bucket_col.colors)
     y_colors, y_method = _color_small_part(
@@ -981,7 +947,10 @@ def double_star_2coloring(g: Graph, n: int, m: int
         )
     x = frozenset(v for v in g.vertices() if g.degree(v) <= m)
     y = sorted(set(g.vertices()) - x)
-    assert len(y) < n + m + 2, "high-degree part larger than the edge count permits"
+    if not len(y) < n + m + 2:
+        raise ConstructionError(
+            f"{len(y)} high-degree vertices contradict the edge precondition"
+        )
     colors = {}
     for u, v in g.edges:
         cross = (u in x) != (v in x)

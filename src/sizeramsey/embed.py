@@ -19,6 +19,7 @@ from .graphs import (
     complete_bipartite,
     induced_subgraph,
     is_tree,
+    peel,
     profile,
 )
 from .verify import EdgeColoring
@@ -64,26 +65,10 @@ def degree_peel(g: Graph, part1, part2, d1: Fraction, d2: Fraction) -> PeelResul
     for v in support:
         if not 0 <= v < g.vertex_count:
             raise DomainError(f"vertex {v} outside the host")
-    adj = {v: {w for w in g.neighbors(v) if w in support} for v in support}
-    t1 = Fraction(d1) / 2
-    t2 = Fraction(d2) / 2
-    deletions: list[tuple[int, int]] = []
-    alive = set(support)
-    while True:
-        victim = None
-        vdeg = None
-        for v in alive:
-            deg = len(adj[v])
-            if Fraction(deg) <= (t1 if v in p1 else t2):
-                if victim is None or (deg, v) < (vdeg, victim):
-                    victim, vdeg = v, deg
-        if victim is None:
-            break
-        deletions.append((victim, vdeg))
-        alive.discard(victim)
-        for w in adj[victim]:
-            adj[w].discard(victim)
-        adj[victim] = set()
+    cap1 = Fraction(d1) // 2
+    cap2 = Fraction(d2) // 2
+    deletions = peel(g, {v: cap1 if v in p1 else cap2 for v in support})
+    alive = support - {v for v, _ in deletions}
     return PeelResult(
         kept1=tuple(sorted(alive & p1)),
         kept2=tuple(sorted(alive & p2)),

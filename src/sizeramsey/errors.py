@@ -72,7 +72,3 @@ class CertificateValidationError(SizeRamseyError):
     def __init__(self, violations: list[str]):
         super().__init__("certificate invalid: " + "; ".join(violations))
         self.violations = list(violations)
-
-
-class EmbedFailure(SizeRamseyError):
-    """An embedding routine could not place the target (not necessarily a bug)."""

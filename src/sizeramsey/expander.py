@@ -18,8 +18,8 @@ from fractions import Fraction
 from itertools import combinations
 
 from .errors import DomainError
-from .graphs import Graph, induced_subgraph, is_tree
-from .verify import EdgeColoring, _adj_accessor, _backtrack_embed
+from .graphs import Graph, induced_subgraph, is_tree, peel
+from .verify import EdgeColoring, fp_embed
 
 __all__ = [
     "ExpanderParams",
@@ -78,9 +78,8 @@ class ExpanderParams:
         p = c1 / big_n
         params = cls(a=a, b=b, r=r, n=n, N=big_n, p=p, c1=c1, c2=c2,
                      delta=float(delta), d=c1, d_prime=c2)
-        assert params.d_prime <= params.d / (4 * r) + 1e-9, (
-            "the thinned degree must stay below d/(4r)"
-        )
+        if params.d_prime > params.d / (4 * r) + 1e-9:
+            raise DomainError("the thinned degree must stay below d/(4r)")
         return params
 
 
@@ -252,52 +251,11 @@ def min_degree_peel(g: Graph, threshold) -> tuple[Graph, tuple[int, ...]]:
     Returns the surviving induced subgraph relabeled 0..k-1 together with
     the kept tuple mapping new labels back to the original ones.
     """
-    thr = Fraction(threshold)
-    adj = {v: set(g.neighbors(v)) for v in g.vertices()}
-    alive = set(g.vertices())
-    while True:
-        victim = None
-        vdeg = None
-        for v in alive:
-            deg = len(adj[v])
-            if Fraction(deg) < thr and (victim is None or (deg, v) < (vdeg, victim)):
-                victim, vdeg = v, deg
-        if victim is None:
-            break
-        alive.discard(victim)
-        for w in adj[victim]:
-            adj[w].discard(victim)
-        adj[victim] = set()
-    kept = tuple(sorted(alive))
+    cap = math.ceil(Fraction(threshold)) - 1
+    deleted = {v for v, _ in peel(g, dict.fromkeys(g.vertices(), cap))}
+    kept = tuple(v for v in g.vertices() if v not in deleted)
     core, mapping = induced_subgraph(g, kept)
     return core, mapping
-
-
-def fp_embed(host: Graph, tree: Graph) -> dict[int, int] | None:
-    """Complete backtracking embedding of a tree, rooted at its lowest
-    leaf, breadth-first order, with degree pruning.  Exact: returns None
-    only when no copy exists."""
-    if not is_tree(tree):
-        raise DomainError("fp_embed requires a tree target")
-    nt = tree.vertex_count
-    if nt == 0:
-        return {}
-    if nt > host.vertex_count:
-        return None
-    leaves = [v for v in tree.vertices() if tree.degree(v) <= 1]
-    root = min(leaves) if leaves else 0
-    order = [root]
-    seen = {root}
-    i = 0
-    while i < len(order):
-        v = order[i]
-        i += 1
-        for w in sorted(tree.neighbors(v)):
-            if w not in seen:
-                seen.add(w)
-                order.append(w)
-    adj_of = _adj_accessor(host.adj)
-    return _backtrack_embed(tree, order, adj_of, range(host.vertex_count), {})
 
 
 @dataclass

@@ -10,6 +10,7 @@ are precomputed, which is cheap for the supported range q <= 64.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from .errors import DomainError
@@ -33,15 +34,8 @@ def prime_power_decompose(q: int) -> tuple[int, int] | None:
     """(p, k) with q = p**k and p prime, or None if q is not a prime power."""
     if q < 2:
         raise DomainError(f"prime power query needs q >= 2, got {q}")
-    p = None
-    for cand in range(2, q + 1):
-        if cand * cand > q and p is None:
-            p = q  # q itself is prime
-            break
-        if q % cand == 0:
-            p = cand
-            break
-    assert p is not None
+    # the least divisor above 1; q itself when q is prime
+    p = next((c for c in range(2, math.isqrt(q) + 1) if q % c == 0), q)
     k = 0
     rest = q
     while rest % p == 0:
@@ -331,5 +325,6 @@ def q_for_partition(r: int) -> int:
     q = r
     while not is_prime_power(q):
         q += 1
-    assert q <= 2 * r - 2, f"prime power gap violation at r={r}"
+    if q > 2 * r - 2:
+        raise AssertionError(f"prime power gap violation at r={r}")
     return q

@@ -8,16 +8,16 @@ imports from the rest of the package except the shared error types.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Mapping
 
 from .errors import DomainError, EdgeListError, Graph6Error
 
 __all__ = [
     "Graph",
     "BipartiteProfile",
-    "DegreeStats",
     "empty_graph",
     "complete_graph",
     "complete_bipartite",
@@ -34,10 +34,9 @@ __all__ = [
     "is_star",
     "is_double_star",
     "is_alpha_full",
-    "degree_stats",
     "induced_subgraph",
     "edges_within",
-    "edges_between",
+    "peel",
     "parse_graph6",
     "emit_graph6",
     "parse_edge_list",
@@ -251,19 +250,6 @@ class BipartiteProfile:
         return BipartiteProfile(self.n2, self.n1, self.delta2, self.delta1)
 
 
-@dataclass(frozen=True)
-class DegreeStats:
-    """Size and max degree of one side of a bipartite working graph."""
-
-    size: int
-    max_degree: int
-
-
-def degree_stats(g: Graph, vertices: Iterable[int]) -> DegreeStats:
-    vs = list(vertices)
-    return DegreeStats(len(vs), max((g.degree(v) for v in vs), default=0))
-
-
 def profile(h: Graph) -> BipartiteProfile:
     """Canonical BipartiteProfile of a connected bipartite graph with >= 1 edge."""
     if h.edge_count == 0:
@@ -342,13 +328,33 @@ def edges_within(g: Graph, s: Iterable[int]) -> list[tuple[int, int]]:
     return sorted(e for e in g.edges if e[0] in ss and e[1] in ss)
 
 
-def edges_between(g: Graph, a: Iterable[int], b: Iterable[int]) -> list[tuple[int, int]]:
-    sa, sb = set(a), set(b)
-    out = []
-    for u, v in g.edges:
-        if (u in sa and v in sb) or (u in sb and v in sa):
-            out.append((u, v))
-    return sorted(out)
+def peel(g: Graph, caps: Mapping[int, int]) -> list[tuple[int, int]]:
+    """Repeatedly delete, among the vertices that are keys of caps, the one
+    of lowest (degree, index) whose current degree is at most its cap,
+    until none is eligible.
+
+    Degrees count neighbors among the undeleted keys of caps only.  Returns
+    the deletions as (vertex, degree at deletion) in order.  Degrees only
+    fall, so an eligible vertex stays eligible; a heap holds one entry per
+    change of an eligible vertex's degree and skips stale ones.
+    """
+    deg = {v: sum(1 for w in g.adj[v] if w in caps) for v in caps}
+    heap = [(d, v) for v, d in deg.items() if d <= caps[v]]
+    heapq.heapify(heap)
+    deletions: list[tuple[int, int]] = []
+    while heap:
+        d, v = heapq.heappop(heap)
+        if deg[v] != d:
+            continue
+        deletions.append((v, d))
+        deg[v] = -1  # deleted: its stale entries and degree updates are skipped
+        for w in g.adj[v]:
+            dw = deg.get(w, -1) - 1
+            if dw >= 0:
+                deg[w] = dw
+                if dw <= caps[w]:
+                    heapq.heappush(heap, (dw, w))
+    return deletions
 
 
 # ---------------------------------------------------------------------------

@@ -12,30 +12,28 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import CertificateValidationError, DomainError
-from .graphs import Graph, emit_graph6, is_connected, parse_graph6
+from .graphs import Graph, emit_graph6, is_connected, is_tree, parse_graph6
 
 __all__ = [
     "Embedding",
     "find_subgraph",
+    "fp_embed",
     "EdgeColoring",
     "ColoringPlan",
     "mono_copy",
     "max_mono_component",
-    "fits_bipartite",
     "Certificate",
     "verify_certificate",
     "certificate_to_json",
     "certificate_from_json",
+    "backtrack_edge_coloring",
     "search_h_free_coloring",
 ]
 
 Embedding = dict[int, int]
-
-_EMPTY: frozenset[int] = frozenset()
-
 
 # ---------------------------------------------------------------------------
 # embedding search
@@ -72,57 +70,63 @@ def _search_order(target: Graph, seed: tuple[int, ...] = ()) -> list[int]:
 def _backtrack_embed(
     target: Graph,
     order: Sequence[int],
-    adj_of,
+    host_adj,
     host_vertices: Sequence[int],
     pre: Mapping[int, int],
 ) -> Embedding | None:
+    """Depth-first search over the target vertices in the given order,
+    with an explicit stack of candidate iterators, one per placed vertex.
+
+    A vertex in pre takes only its prescribed image; one with placed
+    neighbors takes the common host neighborhood of their images, in
+    increasing order; any other takes host_vertices.  host_adj is indexed
+    directly, so every candidate must be one of its keys.
+    """
     n = len(order)
     if n == 0:
         return {}
     tadj = target.adj
-    tdeg = target.degrees()
     pos = {v: i for i, v in enumerate(order)}
-    parents: list[list[int]] = []
-    for i, tv in enumerate(order):
-        parents.append([pos[w] for w in tadj[tv] if pos[w] < i])
+    parents = [[pos[w] for w in tadj[tv] if pos[w] < i]
+               for i, tv in enumerate(order)]
+    need = [len(tadj[tv]) for tv in order]
     images: list[int] = [-1] * n
     used: set[int] = set()
-
-    def extend(i: int) -> bool:
+    pending: list[Iterator[int]] = []
+    i = 0
+    while True:
         if i == n:
-            return True
+            return {order[j]: images[j] for j in range(n)}
         tv = order[i]
-        if tv in pre:
-            cands: Iterable[int] = (pre[tv],)
-        elif parents[i]:
-            pool = set(adj_of(images[parents[i][0]]))
-            for p in parents[i][1:]:
-                pool &= adj_of(images[p])
-            cands = sorted(pool)
+        if i == len(pending):
+            if tv in pre:
+                cands: Iterable[int] = (pre[tv],)
+            elif parents[i]:
+                pool = set(host_adj[images[parents[i][0]]])
+                for p in parents[i][1:]:
+                    pool &= host_adj[images[p]]
+                cands = sorted(pool)
+            else:
+                cands = host_vertices
+            pending.append(iter(cands))
         else:
-            cands = host_vertices
-        need = tdeg[tv]
-        for hv in cands:
-            if hv in used or len(adj_of(hv)) < need:
+            # the deeper search below this vertex's image failed
+            used.remove(images[i])
+        for hv in pending[i]:
+            nbrs = host_adj[hv]
+            if hv in used or len(nbrs) < need[i]:
                 continue
-            if tv in pre and any(images[p] not in adj_of(hv) for p in parents[i]):
+            if tv in pre and any(images[p] not in nbrs for p in parents[i]):
                 continue
             images[i] = hv
             used.add(hv)
-            if extend(i + 1):
-                return True
-            used.remove(hv)
-        return False
-
-    if extend(0):
-        return {order[i]: images[i] for i in range(n)}
-    return None
-
-
-def _adj_accessor(host_adj):
-    if isinstance(host_adj, dict):
-        return lambda v: host_adj.get(v, _EMPTY)
-    return lambda v: host_adj[v]
+            i += 1
+            break
+        else:
+            pending.pop()
+            if i == 0:
+                return None
+            i -= 1
 
 
 def _embed_in_adjacency(
@@ -136,16 +140,15 @@ def _embed_in_adjacency(
     embeddings whose image uses that host edge are accepted; every target
     edge is tried against it in both orientations.
     """
-    adj_of = _adj_accessor(host_adj)
     if require_edge is None:
         order = _search_order(target)
-        return _backtrack_embed(target, order, adj_of, host_vertices, {})
+        return _backtrack_embed(target, order, host_adj, host_vertices, {})
     hu, hv = require_edge
     for a, b in target.sorted_edges():
         for x, y in ((a, b), (b, a)):
             order = _search_order(target, seed=(x, y))
             emb = _backtrack_embed(
-                target, order, adj_of, host_vertices, {x: hu, y: hv}
+                target, order, host_adj, host_vertices, {x: hu, y: hv}
             )
             if emb is not None:
                 return emb
@@ -168,6 +171,32 @@ def find_subgraph(host: Graph, target: Graph) -> Embedding | None:
     if target.max_degree() > host.max_degree():
         return None
     return _embed_in_adjacency(host.adj, range(host.vertex_count), target)
+
+
+def fp_embed(host: Graph, tree: Graph) -> Embedding | None:
+    """Complete backtracking embedding of a tree, rooted at its lowest
+    leaf, breadth-first order, with degree pruning.  Exact: returns None
+    only when no copy exists."""
+    if not is_tree(tree):
+        raise DomainError("fp_embed requires a tree target")
+    nt = tree.vertex_count
+    if nt == 0:
+        return {}
+    if nt > host.vertex_count:
+        return None
+    leaves = [v for v in tree.vertices() if tree.degree(v) <= 1]
+    root = min(leaves) if leaves else 0
+    order = [root]
+    seen = {root}
+    i = 0
+    while i < len(order):
+        v = order[i]
+        i += 1
+        for w in sorted(tree.neighbors(v)):
+            if w not in seen:
+                seen.add(w)
+                order.append(w)
+    return _backtrack_embed(tree, order, host.adj, range(host.vertex_count), {})
 
 
 # ---------------------------------------------------------------------------
@@ -353,25 +382,6 @@ def max_mono_component(coloring: EdgeColoring) -> dict[int, int]:
     return out
 
 
-def fits_bipartite(x_stats, y_stats, prof) -> bool:
-    """Could a copy of H (given by its profile) lie in a bipartite graph
-    whose sides have the given sizes and max degrees?
-
-    Returns False exactly when one of the four size/degree comparisons
-    rules every copy out: a part of H must fit in each side, and each
-    side must offer the max degree the matching part of H needs.
-    """
-    sizes = sorted((x_stats.size, y_stats.size))
-    ns = sorted((prof.n1, prof.n2))
-    if sizes[0] < ns[0] or sizes[1] < ns[1]:
-        return False
-    degs = sorted((x_stats.max_degree, y_stats.max_degree))
-    ds = sorted((prof.delta1, prof.delta2))
-    if degs[0] < ds[0] or degs[1] < ds[1]:
-        return False
-    return True
-
-
 # ---------------------------------------------------------------------------
 # certificates
 
@@ -522,12 +532,16 @@ def certificate_from_json(text: str) -> Certificate:
     if problems:
         raise CertificateValidationError(problems)
     r = doc["r"]
-    if not isinstance(r, int) or r < 1:
+    if type(r) is not int or r < 1:
         raise CertificateValidationError([f"r must be a positive integer, got {r!r}"])
+    entries = doc["coloring"]
+    if not isinstance(entries, list):
+        raise CertificateValidationError([f"coloring {entries!r} is not a list"])
     coloring = EdgeColoring(host, r)
-    for item in doc["coloring"]:
-        if (not isinstance(item, list)) or len(item) != 3:
-            problems.append(f"coloring entry {item!r} is not [u, v, c]")
+    for item in entries:
+        if not (isinstance(item, list) and len(item) == 3
+                and all(type(x) is int for x in item)):
+            problems.append(f"coloring entry {item!r} is not [u, v, c] of integers")
             continue
         u, v, c = item
         try:
@@ -540,12 +554,26 @@ def certificate_from_json(text: str) -> Certificate:
     except Exception:
         problems.append(f"claimed_bound {bound!r} is not a num/den object")
         claimed = Fraction(1)
+    parts = doc.get("plan_parts", {})
+    if not (isinstance(parts, dict) and all(
+            isinstance(vs, list) and all(type(x) is int for x in vs)
+            for vs in parts.values())):
+        problems.append(f"plan_parts {parts!r} is not an object of integer lists")
+    parameters = doc.get("parameters", {})
+    if not isinstance(parameters, dict):
+        problems.append(f"parameters {parameters!r} is not an object")
+    for key in ("strategy", "theorem_tag", "verdict"):
+        if not isinstance(doc.get(key, ""), str):
+            problems.append(f"{key} {doc[key]!r} is not a string")
+    seed = doc.get("seed")
+    if seed is not None and type(seed) is not int:
+        problems.append(f"seed {seed!r} is not an integer")
     if problems:
         raise CertificateValidationError(problems)
     plan = ColoringPlan(
         strategy=doc["strategy"],
-        parts={k: tuple(v) for k, v in doc.get("plan_parts", {}).items()},
-        parameters=doc.get("parameters", {}),
+        parts={k: tuple(v) for k, v in parts.items()},
+        parameters=parameters,
     )
     return Certificate(
         host=host,
@@ -555,15 +583,69 @@ def certificate_from_json(text: str) -> Certificate:
         plan=plan,
         claimed_bound=claimed,
         theorem_tag=doc["theorem_tag"],
-        seed=doc.get("seed"),
+        seed=seed,
         verdict=doc.get("verdict", "unverified"),
         witness=doc.get("witness"),
     )
 
 
 # ---------------------------------------------------------------------------
-# exhaustive search for target-free colorings (shared by the oracle and the
+# exhaustive edge-coloring search (shared by the oracle and the
 # constructions' last-resort fallbacks)
+
+
+def backtrack_edge_coloring(
+    edges: Sequence[tuple[int, int]],
+    r: int,
+    admissible,
+    node_budget: int | None = None,
+) -> tuple[str, dict[tuple[int, int], int] | None, int]:
+    """Backtracking search for an r-coloring of edges, in the given order,
+    such that admissible(adj, u, v) holds each time an edge (u, v) joins a
+    color class whose adjacency (the edge included) is adj.
+
+    Returns (status, coloring, nodes) where status is 'free' (coloring
+    found), 'arrows' (search space exhausted, none exists), or 'unknown'
+    (node budget hit).  Every color tried counts as a node.  Color
+    symmetry is broken by only allowing each new color once all smaller
+    ones have appeared.  The search keeps an explicit stack, so its depth
+    is not bounded by the interpreter's recursion limit.
+    """
+    m = len(edges)
+    class_adj: list[dict[int, set[int]]] = [dict() for _ in range(r + 1)]
+    colors = [0] * m  # color currently placed on each edge, 0 for none
+    used = [0] * (m + 1)  # used[i]: largest color among edges[:i]
+    nodes = 0
+    i = 0
+    while 0 <= i < m:
+        u, v = edges[i]
+        c = colors[i]
+        if c:
+            # everything after edge i failed under color c; take it back
+            class_adj[c][u].discard(v)
+            class_adj[c][v].discard(u)
+        limit = min(used[i] + 1, r)
+        while c < limit:
+            c += 1
+            nodes += 1
+            if node_budget is not None and nodes > node_budget:
+                return "unknown", None, nodes
+            adj = class_adj[c]
+            adj.setdefault(u, set()).add(v)
+            adj.setdefault(v, set()).add(u)
+            if admissible(adj, u, v):
+                colors[i] = c
+                used[i + 1] = max(used[i], c)
+                i += 1
+                break
+            adj[u].discard(v)
+            adj[v].discard(u)
+        else:
+            colors[i] = 0
+            i -= 1
+    if i < 0:
+        return "arrows", None, nodes
+    return "free", dict(zip(edges, colors)), nodes
 
 
 def search_h_free_coloring(
@@ -574,56 +656,18 @@ def search_h_free_coloring(
 ) -> tuple[str, dict[tuple[int, int], int] | None, int]:
     """Backtracking search for an r-coloring of g with no monochromatic target.
 
-    Returns (status, coloring, nodes) where status is 'free' (witness
-    found), 'arrows' (search space exhausted, none exists), or 'unknown'
-    (node budget hit).  Color symmetry is broken by only allowing each new
-    color once all smaller ones have appeared.
+    Returns (status, coloring, nodes) as backtrack_edge_coloring does, over
+    the host edges in sorted order.  An edge is admissible in a color when
+    no copy of the target in that class uses it.
     """
     if target.edge_count == 0:
         raise DomainError("search needs a target with at least one edge")
     if not is_connected(target):
         raise DomainError("search needs a connected target")
-    edges = g.sorted_edges()
-    m = len(edges)
-    if m == 0:
-        return "free", {}, 0
-    class_adj: list[dict[int, set[int]]] = [dict() for _ in range(r + 1)]
-    assignment: dict[tuple[int, int], int] = {}
-    nodes = 0
-    exhausted = True
 
-    def place(i: int, used: int) -> bool:
-        nonlocal nodes, exhausted
-        if i == m:
-            return True
-        u, v = edges[i]
-        limit = min(used + 1, r)
-        for c in range(1, limit + 1):
-            nodes += 1
-            if node_budget is not None and nodes > node_budget:
-                exhausted = False
-                return False
-            adj = class_adj[c]
-            adj.setdefault(u, set()).add(v)
-            adj.setdefault(v, set()).add(u)
-            hit = _embed_in_adjacency(adj, sorted(adj), target, require_edge=(u, v))
-            if hit is None:
-                assignment[edges[i]] = c
-                if place(i + 1, max(used, c)):
-                    return True
-                if not exhausted:
-                    return False
-                del assignment[edges[i]]
-            adj[u].discard(v)
-            adj[v].discard(u)
-            if not adj[u]:
-                del adj[u]
-            if not adj[v]:
-                del adj[v]
-        return False
+    def no_copy_through(adj, u, v) -> bool:
+        # the target is connected, so every target vertex after the anchored
+        # pair draws its candidates from placed neighbors: no vertex list
+        return _embed_in_adjacency(adj, (), target, require_edge=(u, v)) is None
 
-    if place(0, 0):
-        return "free", dict(assignment), nodes
-    if exhausted:
-        return "arrows", None, nodes
-    return "unknown", None, nodes
+    return backtrack_edge_coloring(g.sorted_edges(), r, no_copy_through, node_budget)

@@ -1,0 +1,166 @@
+"""Byte-for-byte regression corpus for the exact searches and constructions.
+
+golden.json holds the output of a fixed corpus: certificate JSON for one
+or more hosts per strategy, peel deletion orders, target-free coloring
+searches with their node counts, and embeddings.  Any change to a verdict,
+a coloring, a search order or a node count shows up here.  Regenerate only
+for an intended change of behaviour:
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+import json
+import os
+import warnings
+from fractions import Fraction
+
+from sizeramsey import (
+    Graph,
+    certificate_to_json,
+    certify,
+    complete_graph,
+    degree_peel,
+    find_subgraph,
+    fp_embed,
+    make_double_star,
+    min_degree_peel,
+    mono_copy,
+    parse_graph6,
+    path_graph,
+    sample_gnp,
+    search_h_free_coloring,
+    star,
+    vizing_bucket_coloring,
+)
+
+GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden.json")
+
+# (strategy, host graph6, target graph6, r, seed, case3_split); together
+# they reach every construction path seen in random instances, including
+# the exhaustive component-bounded search (weakbip, C4, r=3 on E}k?) and
+# the target-free search for Y (the two weakbip cases with r=4)
+CERTIFICATES = [
+    ("beck", "JoOJ?BG_oC?", "KsaCA@?OA?G?", 2, 129212779, None),
+    ("weakbip", "K~~~~~~~~~~~", "IsaAA@?O?", 3, 236935928, None),
+    ("weakbip", "J~~~~~~~~~_", "IsaCA@?O?", 3, 987016237, None),
+    ("weakbip", "I~^~~~~~w", "IsaCA@?O?", 3, 909750844, None),
+    ("weakbip", "E}k?", "Cr", 3, 0, None),
+    ("weakbip", "I~~~~~~~w", "EsP?", 4, 705191892, None),
+    ("weakbip", "I~|~~~~|w", "EFz_", 4, 935903182, None),
+    ("gen2", "J~~~~~~~~~_", "IsaAA@?O?", 4, 739395966, None),
+    ("gen2", "J~~~~~~~~~_", "IsaCA@?O?", 4, 392609544, None),
+    ("gen2", "K~~\\~~Y~^}^r", "H?BUTag", 4, 501867781, None),
+    ("gen2", "K~~\\~~Y~^}^r", "H?BUTag", 4, 501867781, "3.2"),
+    ("gen2", "ExJw", "EhEG", 4, 130438148, None),
+    ("double_star", "I~~~~~~~w", "KsaCA@?OA?G?", 5, 45907036, None),
+    ("double_star", "I~|y|~\\~w", "IsaAA@?O?", 5, 282314246, None),
+    ("double_star_2col", "KXRvNT}}h}^x", "MsaCC@?OA?G?O?O??", 2, 487987801, None),
+    ("chi3", "J}rrGax~~v?", "Ehfw", 4, 653529630, None),
+    ("chi3", "H~~^z~}", "Ehfw", 4, 67769584, None),
+    ("affine", "Q~~~~~~~~~~~~~~~~~~~~~~~~~w", "IhCGGC@?G", 5, 192921969, None),
+]
+
+# the degree_peel cases of test_embed.py: (n, edges, part1, part2, d1, d2)
+PEELS = [
+    (7, [(u, 3 + v) for u in range(3) for v in range(4)], [0, 1, 2],
+     [3, 4, 5, 6], 2, 2),
+    (6, [(0, 3), (1, 3), (2, 3), (3, 4), (4, 5)], [0, 1, 2, 4], [3, 5], 4, 4),
+    (7, [(u, 3 + v) for u in range(3) for v in range(3)] + [(0, 6)],
+     [0, 1, 2], [3, 4, 5, 6], 4, 4),
+    (3, [(0, 1), (0, 2)], [0], [1, 2], 4, 2),
+]
+
+SEARCH_TARGETS = {"P4": path_graph(4), "K3": complete_graph(3), "S3": star(3)}
+
+
+def _searches() -> dict[str, str]:
+    out = {}
+    for name, target in SEARCH_TARGETS.items():
+        for n in (3, 4, 5, 6):
+            for r in (2, 3):
+                for budget in (None, 40):
+                    status, colors, nodes = search_h_free_coloring(
+                        complete_graph(n), target, r, node_budget=budget)
+                    key = f"search/{name}/K{n}/r{r}/budget{budget}"
+                    out[key] = json.dumps(
+                        [status, sorted(colors.items()) if colors else colors, nodes])
+    return out
+
+
+def _certificates() -> dict[str, str]:
+    out = {}
+    for strategy, host, target, r, seed, split in CERTIFICATES:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            cert = certify(strategy, parse_graph6(host), parse_graph6(target), r,
+                           seed=seed, case3_split=split)
+        out[f"cert/{strategy}/{host}/{target}/{r}/{split}"] = certificate_to_json(cert)
+    return out
+
+
+def _peels() -> dict[str, str]:
+    out = {}
+    for i, (n, edges, p1, p2, d1, d2) in enumerate(PEELS):
+        res = degree_peel(Graph(n, edges), p1, p2, Fraction(d1), Fraction(d2))
+        out[f"degree_peel/{i}"] = json.dumps([res.kept1, res.kept2, res.deletions])
+    for seed in range(3):
+        g = sample_gnp(80, 0.08, seed)
+        for thr in (Fraction(2), Fraction(5, 2), Fraction(4), Fraction(9, 2)):
+            core, kept = min_degree_peel(g, thr)
+            out[f"min_degree_peel/{seed}/{thr}"] = json.dumps(
+                [kept, sorted(core.edges)])
+    return out
+
+
+def _embeddings() -> dict[str, str]:
+    out = {}
+    trees = {"P6": path_graph(6), "S5": star(5), "D32": make_double_star(3, 2)}
+    for seed in range(3):
+        host = sample_gnp(30, 0.15, seed)
+        for name, tree in trees.items():
+            for fn in (find_subgraph, fp_embed):
+                emb = fn(host, tree)
+                out[f"{fn.__name__}/{seed}/{name}"] = json.dumps(
+                    sorted(emb.items()) if emb else emb)
+        coloring, _ = vizing_bucket_coloring(host, range(30), 3, 4)
+        for name, tree in trees.items():
+            out[f"mono_copy/{seed}/{name}"] = json.dumps(mono_copy(coloring, tree))
+    _, plan = vizing_bucket_coloring(complete_graph(4), range(4), 3, 1)
+    out["vizing_bucket/K4/3/1"] = json.dumps(sorted(plan.aux["proper"].items()))
+    return out
+
+
+def _load() -> dict[str, str]:
+    with open(GOLDEN, encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+def _check(actual: dict[str, str]) -> None:
+    golden = _load()
+    for key, value in actual.items():
+        assert key in golden, key
+        assert value == golden[key], key
+
+
+def test_golden_certificates():
+    _check(_certificates())
+
+
+def test_golden_searches():
+    _check(_searches())
+
+
+def test_golden_peels():
+    _check(_peels())
+
+
+def test_golden_embeddings():
+    _check(_embeddings())
+
+
+if __name__ == "__main__":
+    doc = {**_certificates(), **_searches(), **_peels(), **_embeddings()}
+    with open(GOLDEN, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh, indent=1, sort_keys=True)
+        fh.write("\n")
+    print(f"wrote {len(doc)} entries to {GOLDEN}")

@@ -25,15 +25,13 @@ from sizeramsey import (
     complete_graph,
     cycle_graph,
     find_subgraph,
-    fits_bipartite,
+    fp_embed,
     make_double_star,
     max_mono_component,
     mono_copy,
     path_graph,
-    profile,
     search_h_free_coloring,
     star,
-    degree_stats,
 )
 from fractions import Fraction
 
@@ -156,15 +154,6 @@ def test_max_mono_component_against_networkx():
             assert got[c] == want
 
 
-def test_fits_bipartite():
-    prof = profile(complete_bipartite(2, 3))
-    xs = degree_stats(complete_bipartite(2, 3), [0, 1])
-    ys = degree_stats(complete_bipartite(2, 3), [2, 3, 4])
-    assert fits_bipartite(xs, ys, prof)
-    tiny = degree_stats(path_graph(2), [0])
-    assert not fits_bipartite(tiny, tiny, prof)
-
-
 # ---------------------------------------------------------------------------
 # certificates
 
@@ -239,6 +228,20 @@ def test_certificate_from_json_rejects_garbage():
             "r": 2, "strategy": "beck", "coloring": [],
             "claimed_bound": {"num": 1, "den": 1}, "theorem_tag": "beck",
         }))
+    valid = {
+        "schema_version": 1, "host_graph6": "Bw", "target_graph6": "Bw",
+        "r": 2, "strategy": "beck", "coloring": [[0, 1, 1], [0, 2, 1], [1, 2, 2]],
+        "claimed_bound": {"num": 9, "den": 2}, "theorem_tag": "beck",
+    }
+    certificate_from_json(json.dumps(valid))
+    for bad in ({"coloring": [[0, "1", 1], [0, 2, 1], [1, 2, 2]]},
+                {"coloring": 5},
+                {"plan_parts": {"X": 3}},
+                {"r": True},
+                {"strategy": ["beck"]},
+                {"seed": "1"}):
+        with pytest.raises(CertificateValidationError):
+            certificate_from_json(json.dumps({**valid, **bad}))
 
 
 # ---------------------------------------------------------------------------
@@ -284,6 +287,17 @@ def test_search_h_free_witness_is_checked():
         if status == "free":
             col = EdgeColoring(g, 2, colors)
             assert mono_copy(col, target) is None
+
+
+def test_searches_do_not_recurse_per_host_edge():
+    # depths beyond the interpreter's default recursion limit of 1000
+    status, colors, nodes = search_h_free_coloring(path_graph(1100), star(3), 2)
+    assert (status, nodes) == ("free", 1099)
+    assert colors == {(i, i + 1): 1 for i in range(1099)}
+    host, target = path_graph(1200), path_graph(1100)
+    for embed in (find_subgraph, fp_embed):
+        emb = embed(host, target)
+        helpers.check_embedding(host, target, emb)
 
 
 @settings(max_examples=60, deadline=None)
