@@ -28,7 +28,6 @@ from .embed import (
     upper_bound_value,
 )
 from .errors import (
-    BudgetError,
     CapacityError,
     CertificateValidationError,
     ConstructionError,

@@ -25,7 +25,6 @@ from .colorings import (
 )
 from .embed import embed_host, embed_host_sides, ramsey_embed_test, upper_bound_value
 from .errors import (
-    BudgetError,
     CapacityError,
     CertificateValidationError,
     ConstructionError,
@@ -484,7 +483,7 @@ def main(argv=None) -> int:
             CertificateValidationError, CapacityError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (LasVegasError, BudgetError) as exc:
+    except LasVegasError as exc:
         print(f"budget exhausted: {exc}", file=sys.stderr)
         return 3
     except ConstructionError as exc:

@@ -62,10 +62,6 @@ class LasVegasError(ConstructionError):
         self.best = best
 
 
-class BudgetError(SizeRamseyError):
-    """An exact search hit its node or size budget before resolving."""
-
-
 class CertificateValidationError(SizeRamseyError):
     """A certificate failed re-verification. `violations` lists every failed check."""
 

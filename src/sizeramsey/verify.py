@@ -5,6 +5,13 @@ search, never by trusting the construction.  The embedding search is a
 plain backtracking algorithm over a connectivity-preserving vertex order
 with degree pruning; it is exact and is itself cross-checked against a
 brute-force oracle in the test suite.
+
+A target and a vertex order are compiled into a plan (the order, each
+position's earlier neighbors, each position's degree) before any search
+runs it, and the search may prescribe the images of the plan's first
+positions.  The target-free coloring search compiles its 2·e(H) anchored
+plans, whose first two positions map onto the newly colored host edge,
+once per call and runs them at every search node.
 """
 
 from __future__ import annotations
@@ -67,29 +74,44 @@ def _search_order(target: Graph, seed: tuple[int, ...] = ()) -> list[int]:
     return order
 
 
-def _backtrack_embed(
-    target: Graph,
-    order: Sequence[int],
-    host_adj,
-    host_vertices: Sequence[int],
-    pre: Mapping[int, int],
-) -> Embedding | None:
-    """Depth-first search over the target vertices in the given order,
-    with an explicit stack of candidate iterators, one per placed vertex.
+# a target compiled for one search order: (order, parents, need), where
+# parents[i] lists the earlier positions adjacent to position i and need[i]
+# is its target degree
+_Plan = tuple[Sequence[int], list[list[int]], list[int]]
 
-    A vertex in pre takes only its prescribed image; one with placed
-    neighbors takes the common host neighborhood of their images, in
-    increasing order; any other takes host_vertices.  host_adj is indexed
-    directly, so every candidate must be one of its keys.
-    """
-    n = len(order)
-    if n == 0:
-        return {}
+
+def _compile_plan(target: Graph, order: Sequence[int]) -> _Plan:
+    """The plan of target for the given order.  It depends only on the
+    target and the order, so a search that runs one order many times
+    compiles it once."""
     tadj = target.adj
     pos = {v: i for i, v in enumerate(order)}
     parents = [[pos[w] for w in tadj[tv] if pos[w] < i]
                for i, tv in enumerate(order)]
-    need = [len(tadj[tv]) for tv in order]
+    return order, parents, [len(tadj[tv]) for tv in order]
+
+
+def _backtrack_embed(
+    plan: _Plan,
+    host_adj,
+    host_vertices: Sequence[int],
+    prefix: tuple[int, ...] = (),
+) -> Embedding | None:
+    """Depth-first search over the target vertices in the plan's order,
+    with an explicit stack of candidate iterators, one per placed vertex.
+
+    The first len(prefix) positions take only their prescribed images,
+    which must be adjacent to their placed parents' images; a later
+    position with placed parents takes the common host neighborhood of
+    their images, in increasing order; any other takes host_vertices.
+    Every candidate needs at least the position's target degree.  host_adj
+    is indexed directly, so every candidate must be one of its keys.
+    """
+    order, parents, need = plan
+    n = len(order)
+    if n == 0:
+        return {}
+    k = len(prefix)
     images: list[int] = [-1] * n
     used: set[int] = set()
     pending: list[Iterator[int]] = []
@@ -97,10 +119,9 @@ def _backtrack_embed(
     while True:
         if i == n:
             return {order[j]: images[j] for j in range(n)}
-        tv = order[i]
         if i == len(pending):
-            if tv in pre:
-                cands: Iterable[int] = (pre[tv],)
+            if i < k:
+                cands: Iterable[int] = (prefix[i],)
             elif parents[i]:
                 pool = set(host_adj[images[parents[i][0]]])
                 for p in parents[i][1:]:
@@ -116,7 +137,7 @@ def _backtrack_embed(
             nbrs = host_adj[hv]
             if hv in used or len(nbrs) < need[i]:
                 continue
-            if tv in pre and any(images[p] not in nbrs for p in parents[i]):
+            if i < k and any(images[p] not in nbrs for p in parents[i]):
                 continue
             images[i] = hv
             used.add(hv)
@@ -132,26 +153,20 @@ def _backtrack_embed(
 def _embed_in_adjacency(
     host_adj,
     host_vertices: Sequence[int],
-    target: Graph,
-    require_edge: tuple[int, int] | None = None,
+    plans: Iterable[_Plan],
+    prefix: tuple[int, ...] = (),
 ) -> Embedding | None:
-    """Search for an injective edge-preserving map of target into a host
-    given as an adjacency structure.  With require_edge=(u, v) only
-    embeddings whose image uses that host edge are accepted; every target
-    edge is tried against it in both orientations.
+    """First injective edge-preserving map of a target into a host given
+    as an adjacency structure, trying the target's compiled plans in turn,
+    each with the same prescribed images for its first positions.  One
+    unanchored plan searches for any copy; the anchored plans with prefix
+    (u, v) search for a copy through the host edge uv, every target edge
+    tried against it in both orientations.
     """
-    if require_edge is None:
-        order = _search_order(target)
-        return _backtrack_embed(target, order, host_adj, host_vertices, {})
-    hu, hv = require_edge
-    for a, b in target.sorted_edges():
-        for x, y in ((a, b), (b, a)):
-            order = _search_order(target, seed=(x, y))
-            emb = _backtrack_embed(
-                target, order, host_adj, host_vertices, {x: hu, y: hv}
-            )
-            if emb is not None:
-                return emb
+    for plan in plans:
+        emb = _backtrack_embed(plan, host_adj, host_vertices, prefix)
+        if emb is not None:
+            return emb
     return None
 
 
@@ -170,7 +185,8 @@ def find_subgraph(host: Graph, target: Graph) -> Embedding | None:
         return None
     if target.max_degree() > host.max_degree():
         return None
-    return _embed_in_adjacency(host.adj, range(host.vertex_count), target)
+    plan = _compile_plan(target, _search_order(target))
+    return _backtrack_embed(plan, host.adj, range(host.vertex_count))
 
 
 def fp_embed(host: Graph, tree: Graph) -> Embedding | None:
@@ -196,7 +212,8 @@ def fp_embed(host: Graph, tree: Graph) -> Embedding | None:
             if w not in seen:
                 seen.add(w)
                 order.append(w)
-    return _backtrack_embed(tree, order, host.adj, range(host.vertex_count), {})
+    plan = _compile_plan(tree, order)
+    return _backtrack_embed(plan, host.adj, range(host.vertex_count))
 
 
 # ---------------------------------------------------------------------------
@@ -295,6 +312,7 @@ def mono_copy(coloring: EdgeColoring, target: Graph) -> tuple[int, Embedding] | 
         if nt <= coloring.host.vertex_count:
             return 1, {i: i for i in range(nt)}
         return None
+    plans = [_compile_plan(target, _search_order(target))]
     for c, edges in sorted(coloring.classes().items()):
         if len(edges) < et:
             continue
@@ -328,7 +346,7 @@ def mono_copy(coloring: EdgeColoring, target: Graph) -> tuple[int, Embedding] | 
                 continue
             if max(len(adj[v]) for v in comp) < dt:
                 continue
-            emb = _embed_in_adjacency(adj, sorted(comp), target)
+            emb = _embed_in_adjacency(adj, sorted(comp), plans)
             if emb is not None:
                 return c, emb
     return None
@@ -665,9 +683,15 @@ def search_h_free_coloring(
     if not is_connected(target):
         raise DomainError("search needs a connected target")
 
+    # one anchored plan per target edge and orientation (x, y), its order
+    # starting x, y; plans depend only on the target, so the search node
+    # predicate below only runs them
+    plans = [_compile_plan(target, _search_order(target, seed=(x, y)))
+             for a, b in target.sorted_edges() for x, y in ((a, b), (b, a))]
+
     def no_copy_through(adj, u, v) -> bool:
         # the target is connected, so every target vertex after the anchored
         # pair draws its candidates from placed neighbors: no vertex list
-        return _embed_in_adjacency(adj, (), target, require_edge=(u, v)) is None
+        return _embed_in_adjacency(adj, (), plans, (u, v)) is None
 
     return backtrack_edge_coloring(g.sorted_edges(), r, no_copy_through, node_budget)

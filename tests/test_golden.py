@@ -17,8 +17,11 @@ from fractions import Fraction
 from sizeramsey import (
     Graph,
     certificate_to_json,
+    EdgeColoring,
     certify,
+    complete_bipartite,
     complete_graph,
+    cycle_graph,
     degree_peel,
     find_subgraph,
     fp_embed,
@@ -72,6 +75,20 @@ PEELS = [
 
 SEARCH_TARGETS = {"P4": path_graph(4), "K3": complete_graph(3), "S3": star(3)}
 
+# (target name, target, host name, host) searched with r = 2 only: larger
+# hosts, where a search runs to thousands of nodes
+LARGE_SEARCHES = [
+    ("C4", cycle_graph(4), "K44", complete_bipartite(4, 4)),
+    ("C4", cycle_graph(4), "K55", complete_bipartite(5, 5)),
+    ("P5", path_graph(5), "K5", complete_graph(5)),
+    ("P5", path_graph(5), "K6", complete_graph(6)),
+]
+
+
+def _search(host: Graph, target: Graph, r: int, budget: int | None) -> str:
+    status, colors, nodes = search_h_free_coloring(host, target, r, node_budget=budget)
+    return json.dumps([status, sorted(colors.items()) if colors else colors, nodes])
+
 
 def _searches() -> dict[str, str]:
     out = {}
@@ -79,11 +96,12 @@ def _searches() -> dict[str, str]:
         for n in (3, 4, 5, 6):
             for r in (2, 3):
                 for budget in (None, 40):
-                    status, colors, nodes = search_h_free_coloring(
-                        complete_graph(n), target, r, node_budget=budget)
                     key = f"search/{name}/K{n}/r{r}/budget{budget}"
-                    out[key] = json.dumps(
-                        [status, sorted(colors.items()) if colors else colors, nodes])
+                    out[key] = _search(complete_graph(n), target, r, budget)
+    for name, target, host_name, host in LARGE_SEARCHES:
+        for budget in (None, 40):
+            key = f"search/{name}/{host_name}/r2/budget{budget}"
+            out[key] = _search(host, target, 2, budget)
     return out
 
 
@@ -125,6 +143,14 @@ def _embeddings() -> dict[str, str]:
         coloring, _ = vizing_bucket_coloring(host, range(30), 3, 4)
         for name, tree in trees.items():
             out[f"mono_copy/{seed}/{name}"] = json.dumps(mono_copy(coloring, tree))
+    # color 1 is a star, which holds no P4; color 2 has a star component
+    # first and a path component second, so the search reaches the second
+    # component of the second class
+    edges = {(0, v): 1 for v in (1, 2, 3, 4)}
+    edges.update({(5, v): 2 for v in (6, 7, 8, 9)})
+    edges.update({(v, v + 1): 2 for v in (10, 11, 12, 13)})
+    coloring = EdgeColoring(Graph(15, edges), 2, edges)
+    out["mono_copy/components/P4"] = json.dumps(mono_copy(coloring, path_graph(4)))
     _, plan = vizing_bucket_coloring(complete_graph(4), range(4), 3, 1)
     out["vizing_bucket/K4/3/1"] = json.dumps(sorted(plan.aux["proper"].items()))
     return out

@@ -32,6 +32,7 @@ from sizeramsey import (
     path_graph,
     search_h_free_coloring,
     star,
+    verify,
 )
 from fractions import Fraction
 
@@ -298,6 +299,22 @@ def test_searches_do_not_recurse_per_host_edge():
     for embed in (find_subgraph, fp_embed):
         emb = embed(host, target)
         helpers.check_embedding(host, target, emb)
+
+
+def test_search_h_free_compiles_anchored_orders_once(monkeypatch):
+    # the anchored orders depend only on the target: 2·e(K3) = 6 of them,
+    # however many nodes the search visits
+    calls = []
+    original = verify._search_order
+
+    def counting(target, seed=()):
+        calls.append(seed)
+        return original(target, seed)
+
+    monkeypatch.setattr(verify, "_search_order", counting)
+    status, _, nodes = search_h_free_coloring(complete_graph(6), complete_graph(3), 2)
+    assert status == "arrows" and nodes > 6
+    assert len(calls) <= 2 * complete_graph(3).edge_count
 
 
 @settings(max_examples=60, deadline=None)
