@@ -40,7 +40,6 @@ from .errors import (
 from .expander import (
     ExpanderParams,
     TrialReport,
-    ab_inequality_holds,
     appendix_trial,
     check_expansion,
     check_local_sparsity,
@@ -70,7 +69,6 @@ from .graphs import (
     emit_edge_list,
     emit_graph6,
     empty_graph,
-    is_alpha_full,
     is_bipartite,
     is_connected,
     is_double_star,

@@ -31,7 +31,6 @@ __all__ = [
     "min_degree_peel",
     "fp_embed",
     "appendix_trial",
-    "ab_inequality_holds",
 ]
 
 
@@ -381,21 +380,3 @@ def appendix_trial(params: ExpanderParams, tree: Graph, seed: int,
         verified=verified,
         mapping=mapping,
     )
-
-
-def ab_inequality_holds(a: float, b: float, r: int, max_tree_degree: int,
-                        log=math.log) -> bool:
-    """Whether (1/(20 r))^(1 + 4/(b log r - 4)) >= (2 Delta + 2)/(a r).
-
-    This is the constants inequality behind choosing a and b; it is
-    exposed for inspection and is deliberately not a precondition of the
-    trials, which verify their outcome directly.
-    """
-    if r < 2:
-        raise DomainError(f"need r >= 2, got {r}")
-    denom = b * log(r) - 4
-    if denom <= 0:
-        raise DomainError(f"b*log(r) = {b * log(r)} must exceed 4")
-    lhs = (1.0 / (20 * r)) ** (1 + 4 / denom)
-    rhs = (2 * max_tree_degree + 2) / (a * r)
-    return lhs >= rhs

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Iterator, Mapping
 
 from .errors import DomainError, EdgeListError, Graph6Error
@@ -33,7 +32,6 @@ __all__ = [
     "beta",
     "is_star",
     "is_double_star",
-    "is_alpha_full",
     "induced_subgraph",
     "edges_within",
     "peel",
@@ -296,17 +294,6 @@ def is_double_star(h: Graph) -> tuple[int, int] | None:
     if n < 1 or m < 1:
         return None
     return n, m
-
-
-def is_alpha_full(t: Graph, alpha: Fraction | int) -> bool:
-    """Whether a tree satisfies delta1 >= alpha*n2 or delta2 >= alpha*n1."""
-    if not is_tree(t):
-        raise DomainError("is_alpha_full requires a tree")
-    alpha = Fraction(alpha)
-    if not 0 < alpha <= 1:
-        raise DomainError(f"alpha must be in (0, 1], got {alpha}")
-    p = profile(t)
-    return p.delta1 >= alpha * p.n2 or p.delta2 >= alpha * p.n1
 
 
 # ---------------------------------------------------------------------------

@@ -10,9 +10,7 @@ lower and upper bounds.  Disagreements are reported, never patched over.
 from __future__ import annotations
 
 import math
-from collections import defaultdict
 from dataclasses import dataclass, field
-from itertools import permutations, product
 
 from .colorings import lower_bound_value
 from .embed import upper_bound_value
@@ -35,23 +33,25 @@ __all__ = [
 # canonical forms (complete isomorphism invariant)
 
 
-def _wl_colors(n: int, adj, colors: tuple[int, ...]) -> tuple[int, ...]:
+def _wl_colors(n: int, adj, colors: list[int]) -> list[int]:
     """Color refinement with rank-compressed labels.
 
     Each round's label of v is the rank of (old label, sorted neighbor
     labels) among all vertices, which is isomorphism-invariant; rounds
-    strictly refine the partition until the class count stabilizes.
+    strictly refine the partition until the class count stabilizes or
+    every class is a singleton, and the result is the coarsest equitable
+    refinement of the input.
     """
     nclasses = len(set(colors))
     while True:
         keys = [
-            (colors[v], tuple(sorted(colors[w] for w in adj[v])))
+            (colors[v], tuple(sorted([colors[w] for w in adj[v]])))
             for v in range(n)
         ]
         uniq = sorted(set(keys))
         rank = {k: i for i, k in enumerate(uniq)}
-        new = tuple(rank[k] for k in keys)
-        if len(uniq) == nclasses:
+        new = [rank[k] for k in keys]
+        if len(uniq) == nclasses or len(uniq) == n:
             return new
         colors, nclasses = new, len(uniq)
 
@@ -65,40 +65,25 @@ def _adjacency_code(n: int, adj, ordering: list[int]) -> int:
     return code
 
 
-_BRUTE_LIMIT = 5040
-
-
-def _canon_code(n: int, adj, colors: tuple[int, ...]) -> int:
-    classes: dict[int, list[int]] = defaultdict(list)
+def _canon_code(n: int, adj, colors: list[int]) -> int:
+    """Least leaf code of the individualization-refinement tree below the
+    equitable coloring `colors` (McKay & Piperno, "Practical graph
+    isomorphism II", 2014), pruned at twins."""
+    classes: list[list[int]] = [[] for _ in range(max(colors) + 1)]
     for v, c in enumerate(colors):
         classes[c].append(v)
-    ordered = [classes[c] for c in sorted(classes)]
-    total = 1
-    for cl in ordered:
-        total *= math.factorial(len(cl))
-        if total > _BRUTE_LIMIT:
-            break
-    if total <= _BRUTE_LIMIT:
-        best = None
-        for perms in product(*(permutations(cl) for cl in ordered)):
-            ordering = [v for p in perms for v in p]
-            code = _adjacency_code(n, adj, ordering)
-            if best is None or code < best:
-                best = code
-        return best
-    # individualize each member of the first non-singleton class; the class
-    # is canonical, and the minimum over its members is order-independent,
-    # so the result stays a complete invariant
-    pivot = next(cl for cl in ordered if len(cl) >= 2)
+    cell = next((cl for cl in classes if len(cl) >= 2), None)
+    if cell is None:
+        return _adjacency_code(n, adj, [cl[0] for cl in classes])
     best = None
-    for v in pivot:
-        seeded = tuple(
-            (colors[u], 1 if u == v else 0) for u in range(n)
-        )
-        uniq = sorted(set(seeded))
-        rank = {k: i for i, k in enumerate(uniq)}
-        refined = _wl_colors(n, adj, tuple(rank[k] for k in seeded))
-        code = _canon_code(n, adj, refined)
+    tried: list[int] = []
+    for v in cell:
+        if any(adj[v] - {w} == adj[w] - {v} for w in tried):
+            continue
+        tried.append(v)
+        seeded = [2 * c for c in colors]
+        seeded[v] += 1
+        code = _canon_code(n, adj, _wl_colors(n, adj, seeded))
         if best is None or code < best:
             best = code
     return best
@@ -107,15 +92,28 @@ def _canon_code(n: int, adj, colors: tuple[int, ...]) -> int:
 def canonical_form(g: Graph) -> tuple[int, int]:
     """A complete isomorphism invariant: (n, canonical adjacency code).
 
-    Two graphs get equal forms iff they are isomorphic: equality exhibits
-    an explicit ordering pair realizing an isomorphism, and the orderings
-    examined are chosen isomorphism-invariantly.
+    The code is the least adjacency code over the leaves of a search tree:
+    refine the degree partition to an equitable coloring, individualize
+    each vertex of its first non-singleton class in turn, refine again and
+    recurse until every class is a singleton, whose class order is a
+    vertex ordering.  Every step is defined from the graph and the colors
+    alone, so isomorphic graphs have isomorphic trees, the same leaf codes
+    and the same minimum; equal codes come from two orderings under which
+    the adjacency matrices coincide, which is an isomorphism.  So the form
+    is equal exactly for isomorphic graphs.
+
+    A vertex v is skipped when it is a twin of a class member w already
+    tried (the neighbors of v other than w are those of w other than v).
+    Swapping v and w is then an automorphism that fixes every vertex
+    individualized so far, and so maps the subtree below v onto the one
+    below w: both give the same least code.
     """
     n = g.vertex_count
     if n == 0:
         return (0, 0)
-    colors = _wl_colors(n, g.adj, (0,) * n)
-    return (n, _canon_code(n, g.adj, colors))
+    adj = g.adj
+    colors = _wl_colors(n, adj, [len(a) for a in adj])
+    return (n, _canon_code(n, adj, colors))
 
 
 # ---------------------------------------------------------------------------

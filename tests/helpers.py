@@ -5,9 +5,13 @@ constructions.
 The oracle here is deliberately independent of the package's own search:
 it materializes every injective vertex map as a numpy array and checks all
 target edges at once, so agreement between the two is meaningful evidence.
+
+At the end are two of the paper's conditions that only the tests check:
+the alpha-full tree condition and the constants inequality for a and b.
 """
 
 import itertools
+import math
 import warnings
 from fractions import Fraction
 from functools import lru_cache
@@ -15,12 +19,15 @@ from functools import lru_cache
 import numpy as np
 
 from sizeramsey import (
+    DomainError,
     Graph,
     certify,
     complete_bipartite,
     cycle_graph,
     make_double_star,
+    is_tree,
     path_graph,
+    profile,
     q_for_ramsey,
     star,
     strategy_bound,
@@ -263,3 +270,32 @@ def run_instance(kwargs: dict):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         return certify(**kwargs)
+
+
+def is_alpha_full(t: Graph, alpha: Fraction | int) -> bool:
+    """Whether a tree satisfies delta1 >= alpha*n2 or delta2 >= alpha*n1."""
+    if not is_tree(t):
+        raise DomainError("is_alpha_full requires a tree")
+    alpha = Fraction(alpha)
+    if not 0 < alpha <= 1:
+        raise DomainError(f"alpha must be in (0, 1], got {alpha}")
+    p = profile(t)
+    return p.delta1 >= alpha * p.n2 or p.delta2 >= alpha * p.n1
+
+
+def ab_inequality_holds(a: float, b: float, r: int, max_tree_degree: int,
+                        log=math.log) -> bool:
+    """Whether (1/(20 r))^(1 + 4/(b log r - 4)) >= (2 Delta + 2)/(a r).
+
+    This is the constants inequality behind choosing a and b; it is
+    deliberately not a precondition of the trials, which verify their
+    outcome directly.
+    """
+    if r < 2:
+        raise DomainError(f"need r >= 2, got {r}")
+    denom = b * log(r) - 4
+    if denom <= 0:
+        raise DomainError(f"b*log(r) = {b * log(r)} must exceed 4")
+    lhs = (1.0 / (20 * r)) ** (1 + 4 / denom)
+    rhs = (2 * max_tree_degree + 2) / (a * r)
+    return lhs >= rhs

@@ -10,7 +10,6 @@ from sizeramsey import (
     DomainError,
     ExpanderParams,
     Graph,
-    ab_inequality_holds,
     appendix_trial,
     check_expansion,
     check_local_sparsity,
@@ -226,7 +225,7 @@ def test_appendix_trial_worst_of_k():
 
 def test_ab_inequality():
     with pytest.raises(DomainError):
-        ab_inequality_holds(1.0, 1.0, 2, 2)
+        helpers.ab_inequality_holds(1.0, 1.0, 2, 2)
     # generous a makes the right side tiny
-    assert ab_inequality_holds(1e9, 40.0, 2, 2)
-    assert not ab_inequality_holds(1e-9, 40.0, 2, 2)
+    assert helpers.ab_inequality_holds(1e9, 40.0, 2, 2)
+    assert not helpers.ab_inequality_holds(1e-9, 40.0, 2, 2)

@@ -2,7 +2,8 @@
 
 golden.json holds the output of a fixed corpus: certificate JSON for one
 or more hosts per strategy, peel deletion orders, target-free coloring
-searches with their node counts, and embeddings.  Any change to a verdict,
+searches with their node counts, embeddings, exact size-Ramsey results
+and the enumerated connected hosts of each small edge count.  Any change to a verdict,
 a coloring, a search order or a node count shows up here.  Regenerate only
 for an intended change of behaviour:
 
@@ -23,6 +24,8 @@ from sizeramsey import (
     complete_graph,
     cycle_graph,
     degree_peel,
+    emit_graph6,
+    enumerate_connected_graphs,
     find_subgraph,
     fp_embed,
     make_double_star,
@@ -32,6 +35,7 @@ from sizeramsey import (
     path_graph,
     sample_gnp,
     search_h_free_coloring,
+    size_ramsey_exact,
     star,
     vizing_bucket_coloring,
 )
@@ -82,6 +86,18 @@ LARGE_SEARCHES = [
     ("C4", cycle_graph(4), "K55", complete_bipartite(5, 5)),
     ("P5", path_graph(5), "K5", complete_graph(5)),
     ("P5", path_graph(5), "K6", complete_graph(6)),
+]
+
+# (target name, target, r, emax) for size_ramsey_exact: the star formula
+# r(m-1)+1 at three (m, r) pairs, P4 at r=2, K4 with one color, and one
+# cap too short to decide anything ("open")
+EXACT = [
+    ("S2", star(2), 6, 7),
+    ("S3", star(3), 3, 7),
+    ("S4", star(4), 2, 7),
+    ("P4", path_graph(4), 2, 7),
+    ("K4", complete_graph(4), 1, 6),
+    ("S3", star(3), 2, 3),
 ]
 
 
@@ -156,6 +172,25 @@ def _embeddings() -> dict[str, str]:
     return out
 
 
+def _exact() -> dict[str, str]:
+    out = {}
+    for name, target, r, emax in EXACT:
+        res = size_ramsey_exact(target, r, emax)
+        out[f"exact/{name}/r{r}/emax{emax}"] = json.dumps(res.to_dict())
+    return out
+
+
+def _enumerations() -> dict[str, str]:
+    # every level's representatives, in the order the enumeration returns them
+    out = {}
+    for e in range(1, 9):
+        graphs = enumerate_connected_graphs(e)
+        out[f"enumerate/{e}"] = json.dumps([emit_graph6(g) for g in graphs])
+    capped = enumerate_connected_graphs(6, max_vertices=5)
+    out["enumerate/6/vmax5"] = json.dumps([emit_graph6(g) for g in capped])
+    return out
+
+
 def _load() -> dict[str, str]:
     with open(GOLDEN, encoding="utf-8") as fh:
         return json.load(fh)
@@ -184,8 +219,17 @@ def test_golden_embeddings():
     _check(_embeddings())
 
 
+def test_golden_exact():
+    _check(_exact())
+
+
+def test_golden_enumerations():
+    _check(_enumerations())
+
+
 if __name__ == "__main__":
-    doc = {**_certificates(), **_searches(), **_peels(), **_embeddings()}
+    doc = {**_certificates(), **_searches(), **_peels(), **_embeddings(),
+           **_exact(), **_enumerations()}
     with open(GOLDEN, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=1, sort_keys=True)
         fh.write("\n")

@@ -19,7 +19,6 @@ from sizeramsey import (
     emit_edge_list,
     emit_graph6,
     empty_graph,
-    is_alpha_full,
     is_bipartite,
     is_connected,
     is_double_star,
@@ -121,9 +120,9 @@ def test_profile_swap_roundtrip():
 
 def test_alpha_full():
     # star side dominates: delta1 = 5 vs n2 = 5
-    assert is_alpha_full(star(5), 1)
-    assert is_alpha_full(path_graph(4), 1)  # delta 2 >= 1 * n 2
-    assert not is_alpha_full(path_graph(8), 1)
+    assert helpers.is_alpha_full(star(5), 1)
+    assert helpers.is_alpha_full(path_graph(4), 1)  # delta 2 >= 1 * n 2
+    assert not helpers.is_alpha_full(path_graph(8), 1)
 
 
 def test_graph6_known_values():

@@ -13,11 +13,13 @@ from sizeramsey import (
     Graph,
     arrows,
     canonical_form,
+    complete_bipartite,
     cross_check_bounds,
     cycle_graph,
     enumerate_connected_graphs,
     mono_copy,
     EdgeColoring,
+    make_double_star,
     path_graph,
     size_ramsey_exact,
     star,
@@ -81,6 +83,83 @@ def test_canonical_form_vertex_transitive(rng):
     assert canonical_form(p) != canonical_form(pent_prism)
 
 
+def rook_graph() -> Graph:
+    # K4 x K4: (a, b) ~ (c, d) when they share a row or a column
+    cells = [(a, b) for a in range(4) for b in range(4)]
+    return Graph(16, [(i, j) for i in range(16) for j in range(i + 1, 16)
+                      if (cells[i][0] == cells[j][0]) != (cells[i][1] == cells[j][1])])
+
+
+def shrikhande_graph() -> Graph:
+    # Cayley graph of Z4 x Z4 with connection set {+-(0,1), +-(1,0), +-(1,1)}
+    steps = {(0, 1), (0, 3), (1, 0), (3, 0), (1, 1), (3, 3)}
+    return Graph(16, [(i, j) for i in range(16) for j in range(i + 1, 16)
+                      if ((j // 4 - i // 4) % 4, (j % 4 - i % 4) % 4) in steps])
+
+
+def hypercube(d: int) -> Graph:
+    return Graph(1 << d, [(v, v | 1 << k) for v in range(1 << d)
+                          for k in range(d) if not v >> k & 1])
+
+
+def test_canonical_form_separates_strongly_regular_pair():
+    # both are srg(16, 6, 2, 2): color refinement leaves one class, so only
+    # individualization can tell them apart
+    rook, shrikhande = rook_graph(), shrikhande_graph()
+    assert not nx.is_isomorphic(helpers.to_networkx(rook),
+                                helpers.to_networkx(shrikhande))
+    assert canonical_form(rook) != canonical_form(shrikhande)
+
+
+def test_canonical_form_relabel_invariant_on_symmetric_graphs():
+    rng = random.Random(20140101)
+    graphs = [petersen(), hypercube(4), rook_graph(), shrikhande_graph(),
+              complete_bipartite(4, 4), cycle_graph(12), make_double_star(4, 3)]
+    for g in graphs:
+        form = canonical_form(g)
+        for _ in range(5):
+            assert canonical_form(relabel(g, rng)) == form
+
+
+def plant_twins(rng: random.Random, g: Graph, count: int) -> Graph:
+    """g plus `count` new vertices, each a copy of a random vertex's
+    neighborhood, adjacent to that vertex or not."""
+    n, edges = g.vertex_count, list(g.edges)
+    adj = [set(a) for a in g.adj]
+    for _ in range(count):
+        v = rng.randrange(n)
+        new_nbrs = set(adj[v]) | ({v} if rng.random() < 0.5 else set())
+        adj.append(new_nbrs)
+        for w in new_nbrs:
+            adj[w].add(n)
+            edges.append((w, n))
+        n += 1
+    return Graph(n, edges)
+
+
+def test_canonical_form_matches_networkx_with_twins():
+    # hosts with many twins exercise the pruning; the non-isomorphic side
+    # moves one edge, so n and e always agree
+    rng = random.Random(1998)
+    agree_iso = 0
+    for _ in range(300):
+        base = helpers.random_graph(rng, rng.randint(2, 6), rng.randint(1, 8))
+        a = plant_twins(rng, base, rng.randint(1, 4))
+        b = relabel(a, rng)
+        if rng.random() < 0.5:
+            pool = [(u, v) for u in range(b.vertex_count)
+                    for v in range(u + 1, b.vertex_count) if not b.has_edge(u, v)]
+            if pool:
+                edges = set(b.edges)
+                edges.remove(rng.choice(sorted(edges)))
+                edges.add(rng.choice(pool))
+                b = Graph(b.vertex_count, edges)
+        iso = nx.is_isomorphic(helpers.to_networkx(a), helpers.to_networkx(b))
+        assert (canonical_form(a) == canonical_form(b)) == iso
+        agree_iso += iso
+    assert 100 <= agree_iso <= 250  # both sides stay populated
+
+
 def test_canonical_form_degenerate():
     assert canonical_form(Graph(0)) == (0, 0)
     assert canonical_form(Graph(1))[0] == 1
@@ -93,7 +172,9 @@ def test_canonical_form_degenerate():
 
 def test_enumeration_counts():
     # connected unlabeled graphs by edge count, no isolated vertices
-    expected = {1: 1, 2: 1, 3: 3, 4: 5, 5: 12, 6: 30, 7: 79}
+    # (OEIS A002905)
+    expected = {1: 1, 2: 1, 3: 3, 4: 5, 5: 12, 6: 30, 7: 79, 8: 227, 9: 710,
+                10: 2322}
     for e, count in expected.items():
         got = enumerate_connected_graphs(e)
         assert len(got) == count
