@@ -99,17 +99,27 @@ def parse_graph_spec(spec: str, fmt: str = "graph6") -> Graph:
     import os
 
     if os.path.exists(spec):
-        with open(spec, "r", encoding="utf-8") as fh:
-            text = fh.read()
+        text = _read_text(spec)
         if fmt == "edgelist":
             return parse_edge_list(text)
-        return parse_graph6(text.strip().splitlines()[0])
+        lines = text.strip().splitlines()
+        return parse_graph6(lines[0] if lines else "")
     try:
         return parse_graph6(spec)
     except Graph6Error:
         raise DomainError(
             f"{spec!r} is neither a graph spec, an existing file, nor valid graph6"
         )
+
+
+def _read_text(path: str) -> str:
+    """The text of a UTF-8 file; a file that cannot be opened or decoded is
+    a DomainError."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DomainError(f"cannot read {path!r}: {exc}") from None
 
 
 def _emit_json(doc: dict, path: str | None) -> None:
@@ -233,9 +243,7 @@ def _cmd_certify(args) -> int:
 def _cmd_verify(args) -> int:
     from .verify import certificate_from_json, verify_certificate
 
-    with open(args.certificate, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    cert = certificate_from_json(text)
+    cert = certificate_from_json(_read_text(args.certificate))
     fresh = verify_certificate(cert)
     stored = cert.verdict
     print(f"stored verdict: {stored}")
@@ -492,7 +500,8 @@ def main(argv=None) -> int:
     except AssertionError as exc:
         print(f"failed: {exc}", file=sys.stderr)
         return 1
-    except FileNotFoundError as exc:
+    except OSError as exc:
+        # an output file that cannot be written
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

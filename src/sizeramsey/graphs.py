@@ -363,7 +363,16 @@ def _g6_bits(data: bytes, start_offset: int) -> Iterator[int]:
 
 def parse_graph6(text: str | bytes) -> Graph:
     """Decode a graph6 string; errors carry the byte offset of the problem."""
-    raw = text.encode("ascii") if isinstance(text, str) else bytes(text)
+    if isinstance(text, str):
+        try:
+            raw = text.encode("ascii")
+        except UnicodeEncodeError as exc:
+            raise Graph6Error(f"non-ASCII character {text[exc.start]!r} in graph6 input",
+                              offset=exc.start) from None
+    elif isinstance(text, (bytes, bytearray)):
+        raw = bytes(text)
+    else:
+        raise Graph6Error(f"graph6 input must be str or bytes, not {type(text).__name__}")
     raw = raw.strip()
     if raw.startswith(_G6_HEADER.encode("ascii")):
         raw = raw[len(_G6_HEADER):]

@@ -7,16 +7,27 @@ with degree pruning; it is exact and is itself cross-checked against a
 brute-force oracle in the test suite.
 
 A target and a vertex order are compiled into a plan (the order, each
-position's earlier neighbors, each position's degree) before any search
-runs it, and the search may prescribe the images of the plan's first
-positions.  The target-free coloring search compiles its 2·e(H) anchored
-plans, whose first two positions map onto the newly colored host edge,
-once per call and runs them at every search node.
+position's earlier neighbors, each position's degree, each position's
+last earlier twin) before any search runs it, and the search may
+prescribe the images of the plan's first positions.  The target-free
+coloring search compiles its 2·e(H) anchored plans, whose first two
+positions map onto the newly colored host edge, once per call and runs
+them at every search node.
+
+Twins are target vertices with the same open neighborhood (false twins,
+such as the leaves of one star center) or the same closed neighborhood
+(true twins, such as the vertices of a clique).  Swapping two twins is a
+target automorphism, so the search takes twins' images in increasing
+order and never tries the same copy once per ordering of its twins.  This
+is the symmetry-breaking condition of Grochow & Kellis (RECOMB 2007) cut
+down to twins; it returns exactly the embedding the search without it
+returns (see _backtrack_embed).
 """
 
 from __future__ import annotations
 
 import json
+from bisect import bisect_right
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -55,40 +66,71 @@ def _search_order(target: Graph, seed: tuple[int, ...] = ()) -> list[int]:
     after the first has at least one earlier neighbor.
     """
     n = target.vertex_count
+    tadj = target.adj
     degs = target.degrees()
     order = list(seed)
     placed = set(order)
+    # the vertices with a placed neighbor
+    attached: set[int] = set()
+    for v in order:
+        attached |= tadj[v]
     while len(order) < n:
         best_key = None
         best_v = -1
         for v in range(n):
             if v in placed:
                 continue
-            attached = any(w in placed for w in target.adj[v])
-            key = (attached, degs[v], -v)
+            key = (v in attached, degs[v], -v)
             if best_key is None or key > best_key:
                 best_key = key
                 best_v = v
         order.append(best_v)
         placed.add(best_v)
+        attached |= tadj[best_v]
     return order
 
 
-# a target compiled for one search order: (order, parents, need), where
-# parents[i] lists the earlier positions adjacent to position i and need[i]
-# is its target degree
-_Plan = tuple[Sequence[int], list[list[int]], list[int]]
+# a target compiled for one search order: (order, parents, need, twin),
+# where parents[i] lists the earlier positions adjacent to position i,
+# need[i] is its target degree, and twin[i] is the last earlier position
+# whose vertex is a twin of position i's (same open or same closed
+# neighborhood), or -1.  Twins are interchangeable: swapping two is a
+# target automorphism, so the search may ask a twin's image to exceed the
+# image of the twin before it (see _backtrack_embed)
+_Plan = tuple[Sequence[int], list[list[int]], list[int], list[int]]
 
 
-def _compile_plan(target: Graph, order: Sequence[int]) -> _Plan:
-    """The plan of target for the given order.  It depends only on the
-    target and the order, so a search that runs one order many times
+def _compile_plans(target: Graph, orders: Iterable[Sequence[int]]) -> list[_Plan]:
+    """The plans of target for the given orders.  They depend only on the
+    target and the orders, so a search that runs one order many times
     compiles it once."""
     tadj = target.adj
-    pos = {v: i for i, v in enumerate(order)}
-    parents = [[pos[w] for w in tadj[tv] if pos[w] < i]
-               for i, tv in enumerate(order)]
-    return order, parents, [len(tadj[tv]) for tv in order]
+    # label[v]: the least of v and its twins, so that twins, and only
+    # twins, share a label.  Twinship is an equivalence whose classes are
+    # cliques (true twins) or independent sets (false twins), never both
+    # for one vertex, and one dict holds both kinds of key: an open
+    # neighborhood N(u) never equals a closed one N[v], as v in N(u) would
+    # put u in N(v), a subset of N(u)
+    first: dict[frozenset[int], int] = {}
+    label: list[int] = []
+    for v, nbrs in enumerate(tadj):
+        w = first.setdefault(nbrs, v)
+        if w == v:
+            w = first.setdefault(nbrs | {v}, v)
+        label.append(w)
+    plans = []
+    for order in orders:
+        pos = {v: i for i, v in enumerate(order)}
+        parents = [[pos[w] for w in tadj[tv] if pos[w] < i]
+                   for i, tv in enumerate(order)]
+        # twins form classes, so the last earlier one is the whole constraint
+        twin: list[int] = []
+        last: dict[int, int] = {}
+        for i, tv in enumerate(order):
+            twin.append(last.get(label[tv], -1))
+            last[label[tv]] = i
+        plans.append((order, parents, [len(tadj[tv]) for tv in order], twin))
+    return plans
 
 
 def _backtrack_embed(
@@ -103,11 +145,20 @@ def _backtrack_embed(
     The first len(prefix) positions take only their prescribed images,
     which must be adjacent to their placed parents' images; a later
     position with placed parents takes the common host neighborhood of
-    their images, in increasing order; any other takes host_vertices.
-    Every candidate needs at least the position's target degree.  host_adj
-    is indexed directly, so every candidate must be one of its keys.
+    their images, in increasing order; any other takes host_vertices,
+    which must be increasing.  A position whose last earlier twin also
+    lies after the prefix takes only images above that twin's.  Every
+    candidate needs at least the position's target degree.  host_adj is
+    indexed directly, so every candidate must be one of its keys.
+
+    The twin cut changes no result.  Candidates increase at every
+    position after the prefix, so the search returns the embedding whose
+    images, read in position order, are lexicographically least.  If twin
+    positions t < i after the prefix had images[t] > images[i], swapping
+    the two images would give another embedding with the same prefix, and
+    a smaller one.  So the least embedding already meets the cut.
     """
-    order, parents, need = plan
+    order, parents, need, twin = plan
     n = len(order)
     if n == 0:
         return {}
@@ -121,7 +172,7 @@ def _backtrack_embed(
             return {order[j]: images[j] for j in range(n)}
         if i == len(pending):
             if i < k:
-                cands: Iterable[int] = (prefix[i],)
+                cands: Sequence[int] = (prefix[i],)
             elif parents[i]:
                 pool = set(host_adj[images[parents[i][0]]])
                 for p in parents[i][1:]:
@@ -129,6 +180,10 @@ def _backtrack_embed(
                 cands = sorted(pool)
             else:
                 cands = host_vertices
+            # twin[i] < i, so a twin after the prefix puts i after it too
+            t = twin[i]
+            if t >= k:
+                cands = cands[bisect_right(cands, images[t]):]
             pending.append(iter(cands))
         else:
             # the deeper search below this vertex's image failed
@@ -185,8 +240,8 @@ def find_subgraph(host: Graph, target: Graph) -> Embedding | None:
         return None
     if target.max_degree() > host.max_degree():
         return None
-    plan = _compile_plan(target, _search_order(target))
-    return _backtrack_embed(plan, host.adj, range(host.vertex_count))
+    plans = _compile_plans(target, [_search_order(target)])
+    return _backtrack_embed(plans[0], host.adj, range(host.vertex_count))
 
 
 def fp_embed(host: Graph, tree: Graph) -> Embedding | None:
@@ -212,8 +267,8 @@ def fp_embed(host: Graph, tree: Graph) -> Embedding | None:
             if w not in seen:
                 seen.add(w)
                 order.append(w)
-    plan = _compile_plan(tree, order)
-    return _backtrack_embed(plan, host.adj, range(host.vertex_count))
+    plans = _compile_plans(tree, [order])
+    return _backtrack_embed(plans[0], host.adj, range(host.vertex_count))
 
 
 # ---------------------------------------------------------------------------
@@ -312,7 +367,7 @@ def mono_copy(coloring: EdgeColoring, target: Graph) -> tuple[int, Embedding] | 
         if nt <= coloring.host.vertex_count:
             return 1, {i: i for i in range(nt)}
         return None
-    plans = [_compile_plan(target, _search_order(target))]
+    plans = _compile_plans(target, [_search_order(target)])
     for c, edges in sorted(coloring.classes().items()):
         if len(edges) < et:
             continue
@@ -525,7 +580,9 @@ def _jsonable(value):
 def certificate_from_json(text: str) -> Certificate:
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # ValueError covers JSONDecodeError and integers too long to convert,
+        # RecursionError arrays or objects nested too deep to decode
         raise CertificateValidationError([f"malformed JSON: {exc}"])
     problems: list[str] = []
     if not isinstance(doc, dict):
@@ -686,8 +743,9 @@ def search_h_free_coloring(
     # one anchored plan per target edge and orientation (x, y), its order
     # starting x, y; plans depend only on the target, so the search node
     # predicate below only runs them
-    plans = [_compile_plan(target, _search_order(target, seed=(x, y)))
-             for a, b in target.sorted_edges() for x, y in ((a, b), (b, a))]
+    plans = _compile_plans(target, [_search_order(target, seed=(x, y))
+                                     for a, b in target.sorted_edges()
+                                     for x, y in ((a, b), (b, a))])
 
     def no_copy_through(adj, u, v) -> bool:
         # the target is connected, so every target vertex after the anchored

@@ -1,6 +1,6 @@
 """Shared test utilities: networkx bridges, a vectorized brute-force
-embedding oracle, and random instance generators for the coloring
-constructions.
+embedding oracle, random instance generators for the coloring
+constructions, and builders of twin-rich graphs.
 
 The oracle here is deliberately independent of the package's own search:
 it materializes every injective vertex map as a numpy array and checks all
@@ -165,6 +165,56 @@ def wheel_graph(n: int) -> Graph:
     """Hub n-1 joined to every vertex of the cycle 0..n-2."""
     rim = [(i, (i + 1) % (n - 1)) for i in range(n - 1)]
     return Graph(n, rim + [(i, n - 1) for i in range(n - 1)])
+
+
+# ---------------------------------------------------------------------------
+# twin-rich graphs: targets whose leaves or parts are interchangeable
+
+
+def spider(legs: list[int]) -> Graph:
+    """Center 0 with one path of each given length hung on it."""
+    edges = []
+    n = 1
+    for length in legs:
+        prev = 0
+        for _ in range(length):
+            edges.append((prev, n))
+            prev = n
+            n += 1
+    return Graph(n, edges)
+
+
+def complete_multipartite(parts: list[int]) -> Graph:
+    """Every pair of vertices in different parts adjacent."""
+    side = [i for i, size in enumerate(parts) for _ in range(size)]
+    n = len(side)
+    return Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)
+                     if side[u] != side[v]])
+
+
+def petersen_graph() -> Graph:
+    """Cubic, girth 5: no C4, no K_{2,3}, no K_{1,4}."""
+    outer = [(i, (i + 1) % 5) for i in range(5)]
+    spokes = [(i, i + 5) for i in range(5)]
+    inner = [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+    return Graph(10, outer + spokes + inner)
+
+
+def tight_double_star_host(n: int, m: int, s: int, t: int) -> Graph:
+    """A host without S_{n,m} where the centers 0 and 1 have n + s and
+    m + t candidate leaves but only n + m - 1 distinct ones, so a search
+    without symmetry breaking tries every ordered choice of the first
+    center's leaves.  The construction of the benchmark's tight jobs."""
+    z = s + t + 1          # leaves shared by both centers
+    x = n - t - 1          # leaves of the first center only
+    y = m - s - 1          # leaves of the second center only
+    a = list(range(2, 2 + x))
+    b = list(range(2 + x, 2 + x + y))
+    c = list(range(2 + x + y, 2 + x + y + z))
+    spare = 2 + x + y + z
+    edges = [(0, 1)] + [(0, w) for w in a + c] + [(1, w) for w in b + c]
+    edges += [(a[0], spare), (a[1], spare + 1)]
+    return Graph(spare + 2, edges)
 
 
 # the 9-vertex bipartite target whose profile has delta1 > delta2 and

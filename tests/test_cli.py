@@ -11,11 +11,13 @@ from sizeramsey import (
     DomainError,
     EdgeColoring,
     Graph,
+    Graph6Error,
     complete_bipartite,
     complete_graph,
     cycle_graph,
     emit_graph6,
     make_double_star,
+    parse_graph6,
     path_graph,
     star,
 )
@@ -258,3 +260,38 @@ def test_usage_errors(capsys):
     assert main(["certify", "--strategy", "nope", "--target", "path:4"]) == 2
     assert main(["--help"]) == 0
     capsys.readouterr()
+
+
+def test_unreadable_inputs_are_exit_2(capsys, tmp_path):
+    empty = tmp_path / "empty.g6"
+    empty.write_text("")
+    binary = tmp_path / "binary.g6"
+    binary.write_bytes(b"\xff\xfe\x00\x81graph")
+    folder = tmp_path / "folder"
+    folder.mkdir()
+    for argv in (["analyze", str(empty)], ["analyze", str(binary)],
+                 ["analyze", str(folder)], ["analyze", "g6:é"],
+                 ["analyze", "é"], ["verify", str(binary)],
+                 ["verify", str(folder)], ["verify", str(empty)],
+                 ["analyze", "path:4", "--json-out", str(folder)]):
+        assert main(argv) == 2, argv
+        assert capsys.readouterr().err.startswith("error:"), argv
+    with pytest.raises(Graph6Error):
+        parse_graph6("Ché")
+
+
+def test_python_dash_m_runs_the_cli():
+    import os
+    import subprocess
+    import sys
+
+    import sizeramsey
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(sizeramsey.__file__)))
+    env = {**os.environ, "PYTHONPATH": src}
+    run = subprocess.run([sys.executable, "-m", "sizeramsey", "analyze", "path:4"],
+                         capture_output=True, text=True, env=env)
+    assert run.returncode == 0 and "edges: 3" in run.stdout
+    run = subprocess.run([sys.executable, "-m", "sizeramsey"],
+                         capture_output=True, text=True, env=env)
+    assert run.returncode == 2

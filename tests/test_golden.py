@@ -2,16 +2,18 @@
 
 golden.json holds the output of a fixed corpus: certificate JSON for one
 or more hosts per strategy, peel deletion orders, target-free coloring
-searches with their node counts, embeddings, exact size-Ramsey results
-and the enumerated connected hosts of each small edge count.  Any change to a verdict,
-a coloring, a search order or a node count shows up here.  Regenerate only
-for an intended change of behaviour:
+searches with their node counts, embeddings (twin-rich targets among
+them), exact size-Ramsey results and the enumerated connected hosts of
+each small edge count.  Any change to a verdict, a coloring, a search
+order or a node count shows up here.  Regenerate only for an intended
+change of behaviour:
 
     PYTHONPATH=src python tests/test_golden.py
 """
 
 import json
 import os
+import random
 import warnings
 from fractions import Fraction
 
@@ -39,6 +41,8 @@ from sizeramsey import (
     star,
     vizing_bucket_coloring,
 )
+
+import helpers
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden.json")
 
@@ -172,6 +176,63 @@ def _embeddings() -> dict[str, str]:
     return out
 
 
+# targets with interchangeable vertices: (name, target, host without a
+# copy); the host with a copy is a random graph with the target planted
+TWIN_TARGETS = [
+    ("S32", make_double_star(3, 2), helpers.tight_double_star_host(3, 2, 1, 0)),
+    ("S44", make_double_star(4, 4), helpers.tight_double_star_host(4, 4, 2, 1)),
+    ("K14", star(4), helpers.petersen_graph()),
+    ("K23", complete_bipartite(2, 3), helpers.petersen_graph()),
+    ("C4", cycle_graph(4), helpers.petersen_graph()),
+    ("K4", complete_graph(4), helpers.complete_multipartite([3, 3, 3])),
+]
+
+
+def _planted(target: Graph, seed: int) -> tuple[Graph, set[tuple[int, int]]]:
+    """G(14, 0.2) with a copy of target on random vertices, and the copy's
+    edges."""
+    rng = random.Random(seed)
+    host = sample_gnp(14, 0.2, seed)
+    image = rng.sample(range(14), target.vertex_count)
+    copy = {tuple(sorted((image[u], image[v]))) for u, v in target.edges}
+    return Graph(14, host.edges | copy), copy
+
+
+def _two_colored(host: Graph, keep: set[tuple[int, int]], seed: int) -> EdgeColoring:
+    """Each edge colored 1 or 2 at random, the edges in keep colored 2."""
+    rng = random.Random(seed)
+    colors = {e: 2 if e in keep or rng.random() < 0.5 else 1
+              for e in host.sorted_edges()}
+    return EdgeColoring(host, 2, colors)
+
+
+def _twins() -> dict[str, str]:
+    out = {}
+    for i, (name, target, free_host) in enumerate(TWIN_TARGETS):
+        with_copy, copy = _planted(target, 100 + i)
+        for kind, host, keep in (("copy", with_copy, copy), ("free", free_host, set())):
+            emb = find_subgraph(host, target)
+            out[f"twins/find_subgraph/{name}/{kind}"] = json.dumps(
+                sorted(emb.items()) if emb else emb)
+            coloring = _two_colored(host, keep, 200 + i)
+            out[f"twins/mono_copy/{name}/{kind}"] = json.dumps(mono_copy(coloring, target))
+    spider = helpers.spider([1, 1, 2, 2, 3])
+    for name, tree, seed in (("S32", make_double_star(3, 2), 300), ("spider", spider, 301)):
+        with_copy, _ = _planted(tree, seed)
+        free_host = helpers.tight_double_star_host(3, 2, 1, 0)
+        for kind, host in (("copy", with_copy), ("free", free_host)):
+            emb = fp_embed(host, tree)
+            out[f"twins/fp_embed/{name}/{kind}"] = json.dumps(
+                sorted(emb.items()) if emb else emb)
+    for name, target in (("K13", star(3)), ("S22", make_double_star(2, 2))):
+        for n in (5, 6):
+            out[f"twins/search/{name}/K{n}/r2"] = _search(complete_graph(n), target, 2, None)
+    tight = helpers.tight_double_star_host(6, 3, 2, 0)
+    emb = find_subgraph(tight, make_double_star(6, 3))
+    out["twins/tight/6,3/2,0"] = json.dumps(sorted(emb.items()) if emb else emb)
+    return out
+
+
 def _exact() -> dict[str, str]:
     out = {}
     for name, target, r, emax in EXACT:
@@ -219,6 +280,10 @@ def test_golden_embeddings():
     _check(_embeddings())
 
 
+def test_golden_twins():
+    _check(_twins())
+
+
 def test_golden_exact():
     _check(_exact())
 
@@ -229,7 +294,7 @@ def test_golden_enumerations():
 
 if __name__ == "__main__":
     doc = {**_certificates(), **_searches(), **_peels(), **_embeddings(),
-           **_exact(), **_enumerations()}
+           **_twins(), **_exact(), **_enumerations()}
     with open(GOLDEN, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=1, sort_keys=True)
         fh.write("\n")

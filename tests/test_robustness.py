@@ -1,0 +1,153 @@
+"""Malformed input never escapes as a traceback.
+
+The graph6 and edge-list parsers and the certificate loader raise only
+package errors on any input, fuzzed here with Hypothesis in derandomized
+mode so every run draws the same cases.  No check in the package lives in
+an assert statement, which python -O strips.
+"""
+
+import ast
+import json
+import os
+from fractions import Fraction
+
+from hypothesis import given, settings, strategies as st
+
+import sizeramsey
+from sizeramsey import (
+    Certificate,
+    ColoringPlan,
+    EdgeColoring,
+    SizeRamseyError,
+    certificate_from_json,
+    certificate_to_json,
+    complete_bipartite,
+    cycle_graph,
+    emit_edge_list,
+    emit_graph6,
+    make_double_star,
+    parse_edge_list,
+    parse_graph6,
+    path_graph,
+    star,
+    verify_certificate,
+)
+
+FUZZ = settings(derandomize=True, max_examples=400, deadline=None)
+
+VALID_GRAPHS = [path_graph(4), star(5), cycle_graph(7), make_double_star(3, 2),
+                complete_bipartite(3, 4), path_graph(70)]
+
+# printable ASCII (the graph6 range 63-126 among it), control characters,
+# and characters outside ASCII
+CHARS = st.one_of(st.characters(min_codepoint=32, max_codepoint=126),
+                  st.sampled_from(["\n", "\t", "\x00", "\x7f", "é", "٣", "\U0001f600"]))
+
+
+@st.composite
+def mutated(draw, base: str) -> str:
+    """base with one to three characters replaced, inserted or deleted."""
+    chars = list(base)
+    for _ in range(draw(st.integers(1, 3))):
+        op = draw(st.sampled_from(("replace", "insert", "delete")))
+        i = draw(st.integers(0, len(chars)))
+        if op == "delete":
+            del chars[i:i + draw(st.integers(1, 4))]
+        elif op == "insert" or i == len(chars):
+            chars.insert(i, draw(CHARS))
+        else:
+            chars[i] = draw(CHARS)
+    return "".join(chars)
+
+
+def _fuzz_text(data, bases: list[str]) -> str:
+    return data.draw(st.one_of(st.text(CHARS, max_size=24),
+                               st.sampled_from(bases).flatmap(mutated)))
+
+
+@FUZZ
+@given(st.data())
+def test_graph6_parser_raises_only_package_errors(data):
+    text = _fuzz_text(data, [emit_graph6(g) for g in VALID_GRAPHS])
+    if data.draw(st.booleans()):
+        text = text.encode("utf-8")
+    try:
+        g = parse_graph6(text)
+    except SizeRamseyError:
+        return
+    assert parse_graph6(emit_graph6(g)) == g
+
+
+@FUZZ
+@given(st.data())
+def test_edge_list_parser_raises_only_package_errors(data):
+    text = _fuzz_text(data, [emit_edge_list(g) for g in VALID_GRAPHS[:5]])
+    try:
+        g = parse_edge_list(text)
+    except SizeRamseyError:
+        return
+    assert parse_edge_list(emit_edge_list(g)) == g
+
+
+def _certificate_doc() -> dict:
+    host = path_graph(4)
+    coloring = EdgeColoring(host, 2, {(0, 1): 1, (1, 2): 2, (2, 3): 1})
+    cert = Certificate(host=host, target=make_double_star(1, 1), r=2,
+                       coloring=coloring,
+                       plan=ColoringPlan(strategy="affine", parts={"X": (0, 3)},
+                                         parameters={"n": 3}),
+                       claimed_bound=Fraction(4), theorem_tag="beck", seed=0)
+    return json.loads(certificate_to_json(cert))
+
+
+# JSON values with small integers: verify_certificate builds one entry per
+# palette color, so a drawn r of 10^9 would exhaust memory (see CHANGES.md)
+def _json_containers(inner):
+    return (st.lists(inner, max_size=4)
+            | st.dictionaries(st.text(CHARS, max_size=6), inner, max_size=4))
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 300) | st.floats()
+    | st.text(CHARS, max_size=8),
+    _json_containers, max_leaves=8)
+
+
+@FUZZ
+@given(st.data())
+def test_certificate_loader_raises_only_package_errors(data):
+    doc = _certificate_doc()
+    if data.draw(st.booleans()):
+        text = data.draw(mutated(json.dumps(doc, sort_keys=True)))
+    else:
+        # replace or drop a field, a coloring entry or a graph6 string
+        key = data.draw(st.sampled_from(sorted(doc) + ["extra"]))
+        how = data.draw(st.sampled_from(("value", "drop", "entry", "graph6")))
+        if how == "drop":
+            doc.pop(key, None)
+        elif how == "entry":
+            i = data.draw(st.integers(0, len(doc["coloring"]) - 1))
+            doc["coloring"][i] = data.draw(JSON_VALUES)
+        elif how == "graph6":
+            key = data.draw(st.sampled_from(["host_graph6", "target_graph6"]))
+            doc[key] = data.draw(mutated(doc[key]))
+        else:
+            doc[key] = data.draw(JSON_VALUES)
+        text = json.dumps(doc)
+    try:
+        verify_certificate(certificate_from_json(text))
+    except SizeRamseyError:
+        pass
+
+
+def test_no_assert_statements_in_the_package():
+    root = os.path.dirname(sizeramsey.__file__)
+    found = []
+    for name in sorted(os.listdir(root)):
+        if name.endswith(".py"):
+            path = os.path.join(root, name)
+            with open(path, encoding="utf-8") as fh:
+                tree = ast.parse(fh.read(), filename=path)
+            found += [f"{name}:{node.lineno}" for node in ast.walk(tree)
+                      if isinstance(node, ast.Assert)]
+    assert found == []

@@ -219,8 +219,9 @@ def test_certificate_json_roundtrip_is_byte_stable():
 
 
 def test_certificate_from_json_rejects_garbage():
-    with pytest.raises(CertificateValidationError):
-        certificate_from_json("{not json")
+    for text in ("{not json", "[" * 100_000, '{"r": ' + "9" * 5000 + "}"):
+        with pytest.raises(CertificateValidationError):
+            certificate_from_json(text)
     with pytest.raises(CertificateValidationError):
         certificate_from_json(json.dumps({"schema_version": 1}))
     with pytest.raises(CertificateValidationError):
@@ -239,6 +240,8 @@ def test_certificate_from_json_rejects_garbage():
                 {"coloring": 5},
                 {"plan_parts": {"X": 3}},
                 {"r": True},
+                {"host_graph6": [66, 119]},
+                {"target_graph6": 10 ** 6},
                 {"strategy": ["beck"]},
                 {"seed": "1"}):
         with pytest.raises(CertificateValidationError):
@@ -328,3 +331,93 @@ def test_find_subgraph_oracle_property(n, data):
     emb = find_subgraph(host, target)
     assert (emb is not None) == helpers.has_injection(
         helpers.adjacency_matrix(host), target)
+
+
+# ---------------------------------------------------------------------------
+# twin symmetry breaking: interchangeable target vertices
+
+
+class _CountingAdjacency(tuple):
+    """A host adjacency tuple that counts its lookups."""
+
+    lookups = 0
+
+    def __getitem__(self, v):
+        _CountingAdjacency.lookups += 1
+        return tuple.__getitem__(self, v)
+
+
+def test_twin_leaves_are_not_tried_in_every_order():
+    # no S_{7,3} in this host, and the first center has 9 candidate leaves
+    # for its 7 twin leaves: trying them in every order costs millions of
+    # host lookups, in increasing order a few thousand
+    host = helpers.tight_double_star_host(7, 3, 2, 1)
+    target = make_double_star(7, 3)
+    plan, = verify._compile_plans(target, [verify._search_order(target)])
+    adj = _CountingAdjacency(host.adj)
+    _CountingAdjacency.lookups = 0
+    assert verify._backtrack_embed(plan, adj, range(host.vertex_count)) is None
+    assert _CountingAdjacency.lookups <= 20_000
+
+
+def test_compiled_twin_table():
+    # S_{2,3}: leaves 2, 3 of center 0 and 4, 5, 6 of center 1 are false
+    # twins; in K4 minus the edge 23, 0 and 1 are true twins, 2 and 3 false
+    order = [0, 1, 2, 3, 4, 5, 6]
+    (_, _, _, twin), = verify._compile_plans(make_double_star(2, 3), [order])
+    assert twin == [-1, -1, -1, 2, -1, 4, 5]
+    diamond = Graph(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)])
+    (_, _, _, twin), = verify._compile_plans(diamond, [[0, 2, 1, 3]])
+    assert twin == [-1, -1, 0, 1]
+
+
+def _twin_rich_target(rng):
+    kind = rng.randrange(6)
+    if kind == 0:
+        return make_double_star(rng.randint(1, 4), rng.randint(1, 3))
+    if kind == 1:
+        return star(rng.randint(1, 6))
+    if kind == 2:
+        return complete_bipartite(rng.randint(1, 3), rng.randint(1, 4))
+    if kind == 3:
+        return complete_graph(rng.randint(2, 5))
+    if kind == 4:
+        return helpers.complete_multipartite(
+            [rng.randint(1, 3) for _ in range(rng.randint(2, 3))])
+    return helpers.spider([rng.randint(1, 2) for _ in range(rng.randint(2, 4))])
+
+
+def test_twin_rich_targets_agree_with_networkx():
+    from networkx.algorithms.isomorphism import GraphMatcher
+
+    def exists(host, target):
+        return GraphMatcher(helpers.to_networkx(host),
+                            helpers.to_networkx(target)).subgraph_is_monomorphic()
+
+    rng = random.Random(2007)
+    hits = mono_hits = 0
+    for trial in range(300):
+        target = _twin_rich_target(rng)
+        n = rng.randint(max(2, target.vertex_count - 1), 11)
+        host = helpers.random_gnp(rng, n, rng.uniform(0.15, 0.7))
+        if rng.random() < 0.5 and target.vertex_count <= n:
+            # plant a copy on random vertices
+            image = rng.sample(range(n), target.vertex_count)
+            host = Graph(n, host.edges | {tuple(sorted((image[u], image[v])))
+                                          for u, v in target.edges})
+        emb = find_subgraph(host, target)
+        assert (emb is not None) == exists(host, target), (host.edges, target.edges)
+        if emb is not None:
+            hits += 1
+            helpers.check_embedding(host, target, emb)
+        coloring = EdgeColoring(host, 2, {e: rng.randint(1, 2) for e in host.edges})
+        hit = mono_copy(coloring, target)
+        classes = {c: Graph(n, es) for c, es in coloring.classes().items()}
+        assert (hit is not None) == any(exists(g, target) for g in classes.values())
+        if hit is not None:
+            mono_hits += 1
+            color, emb = hit
+            assert not any(exists(classes[c], target) for c in range(1, color))
+            helpers.check_embedding(classes[color], target, emb)
+    # both outcomes well represented (227 and 144 copies found)
+    assert 100 <= hits <= 270 and 50 <= mono_hits <= 250
