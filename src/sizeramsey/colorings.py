@@ -6,9 +6,14 @@ monochromatic copy of the target.  Constructions never self-certify:
 `certify` runs the exact verifier over the finished coloring and only a
 verifier pass yields the verdict "verified".
 
+Every edge threshold is written once, in the `_*_bound` functions of the
+"edge thresholds" section below; each construction's precondition,
+`strategy_bound` and `lower_bound_value` all call them.
+
 Randomized steps are Las Vegas: partitions are resampled under a seeded
 RNG until the exact success condition holds, so a returned coloring is
-always sound and only the retry count varies with the seed.
+always sound and only the retry count varies with the seed.  A plan's
+`retries` counts the re-draws after the first.
 """
 
 from __future__ import annotations
@@ -184,14 +189,14 @@ def _rotate_and_set(st: _ProperState, u: int, fan: list[int], i: int, d: int) ->
     st.set(u, fan[i], d)
 
 
-def _exhaustive_proper(edges: list[tuple[int, int]], palette: int,
-                       max_edges: int = 24) -> dict[tuple[int, int], int] | None:
+def _exhaustive_proper(edges: list[tuple[int, int]], palette: int
+                       ) -> dict[tuple[int, int], int] | None:
     """Complete search for a proper edge coloring; None when impossible.
 
-    Only attempted on tiny edge sets, as a fallback when the fan algorithm
-    stalls on a palette equal to the max degree.
+    Only attempted on at most 24 edges, as a fallback when the fan
+    algorithm stalls on a palette equal to the max degree.
     """
-    if len(edges) > max_edges:
+    if len(edges) > 24:
         return None
 
     def ends_alone(adj, u, v) -> bool:
@@ -217,6 +222,127 @@ def _proper_coloring(edges: list[tuple[int, int]], palette: int) -> _ProperState
         for (u, v), c in found.items():
             st.set(u, v, c)
     return st
+
+
+# ---------------------------------------------------------------------------
+# edge thresholds, one per theorem tag: each construction's precondition,
+# strategy_bound and lower_bound_value all read them from here
+
+_STAR_TARGET = "target is a star; the star bound is exact instead"
+
+
+def _beck_bound(b: int) -> Fraction:
+    """Beck's 2-color threshold beta(H)/4, with beta = n1 delta1 + n2 delta2."""
+    return Fraction(b, 4)
+
+
+def _oriented_delta_first(prof: BipartiteProfile) -> BipartiteProfile:
+    return prof if prof.delta1 >= prof.delta2 else prof.swapped()
+
+
+def _weakbip_bound(prof: BipartiteProfile, r: int) -> Fraction:
+    """r^2 (delta2 - 1)(n1 + n2) / 4, the parts oriented delta1 >= delta2."""
+    p = _oriented_delta_first(prof)
+    if p.delta2 < 2:
+        raise DomainError(_STAR_TARGET)
+    return Fraction(r * r * (p.delta2 - 1) * (p.n1 + p.n2), 4)
+
+
+def _gen2_bound(prof: BipartiteProfile, r: int) -> Fraction:
+    """r^2 (delta1 - 1) n1 / 4 in canonical orientation."""
+    if min(prof.delta1, prof.delta2) < 2 or min(prof.n1, prof.n2) < 2:
+        raise DomainError(_STAR_TARGET)
+    return Fraction(r * r * (prof.delta1 - 1) * prof.n1, 4)
+
+
+def _chi3_bound(m: int, r: int) -> Fraction:
+    """r^2 e(H) / 4 for a non-bipartite H with m edges."""
+    return Fraction(r * r * m, 4)
+
+
+def _double_star_shape(h: Graph) -> tuple[int, int]:
+    """(n, m) with n >= m of a double star target S_{n,m}."""
+    ds = is_double_star(h)
+    if ds is None:
+        raise DomainError("target is not a double star")
+    return ds
+
+
+def _double_star_bound(n: int, m: int, r: int) -> Fraction:
+    """(r^2 - 1)(nm + m^2) / 16 for S_{n,m}."""
+    return Fraction((r * r - 1) * (n * m + m * m), 16)
+
+
+def _double_star_2col_bound(n: int, m: int) -> Fraction:
+    """beta(S_{n,m})/4 + (m+1)^2/2 with two colors; beta/4 = (n+1)(m+1)/2."""
+    return Fraction((n + 1) * (m + 1), 2) + Fraction((m + 1) ** 2, 2)
+
+
+def _require_below(g: Graph, bound: Fraction) -> None:
+    if g.edge_count >= bound:
+        raise DomainError(
+            f"host has {g.edge_count} edges; the construction needs fewer than {bound}"
+        )
+
+
+def _degree_split(g: Graph, cap: int, y_limit: Fraction | int
+                  ) -> tuple[frozenset[int], list[int]]:
+    """X, the vertices of degree at most cap, and Y, the others in order.
+
+    Below the construction's edge threshold Y has fewer than y_limit
+    vertices, so a larger Y means the threshold was not met.
+    """
+    x = frozenset(v for v in g.vertices() if g.degree(v) <= cap)
+    y = sorted(set(g.vertices()) - x)
+    if not len(y) < y_limit:
+        raise ConstructionError(
+            f"{len(y)} high-degree vertices contradict the edge precondition"
+        )
+    return x, y
+
+
+# ---------------------------------------------------------------------------
+# steps shared by several constructions
+
+
+def _split_2coloring(g: Graph, x) -> dict[tuple[int, int], int]:
+    """Red (1) on the edges leaving X, blue (2) on the edges on either side."""
+    return {(u, v): 1 if (u in x) != (v in x) else 2 for u, v in g.edges}
+
+
+def _cell_coloring(edges, cell: dict[int, int], plane, base: int
+                   ) -> dict[tuple[int, int], int]:
+    """Color an edge inside one cell `base`, and an edge between two cells
+    `base` plus the parallel class of the line through them.
+
+    Lines of one class are disjoint, so every monochromatic component lies
+    in the cells of a single line.
+    """
+    out = {}
+    for u, v in edges:
+        cu, cv = cell[u], cell[v]
+        out[(u, v)] = base if cu == cv else base + plane.class_of_pair(cu, cv)
+    return out
+
+
+def _resample(seed: int, max_retries: int, draw, judge, failure: str,
+              statistic: str):
+    """Las Vegas loop: draw from one seeded RNG until judge accepts.
+
+    judge(sample) returns (statistic, accepted).  Returns the accepted
+    sample, the smallest statistic seen and the number of re-draws after
+    the first; after max_retries draws raises LasVegasError instead.
+    """
+    rng = random.Random(seed)
+    best = None
+    for retries in range(max_retries):
+        sample = draw(rng)
+        stat, ok = judge(sample)
+        if best is None or stat < best:
+            best = stat
+        if ok:
+            return sample, best, retries
+    raise LasVegasError(failure, retries=max_retries, best=f"{statistic} {best}")
 
 
 # ---------------------------------------------------------------------------
@@ -304,10 +430,10 @@ def _distinct_cross_colors(cross: list[tuple[tuple[int, int], int]],
 
 
 def _component_bounded_search(edges: list[tuple[int, int]], num_colors: int,
-                              n_bound: int, node_budget: int = 200_000
-                              ) -> dict[tuple[int, int], int] | None:
+                              n_bound: int) -> dict[tuple[int, int], int] | None:
     """Exhaustively color edges with num_colors so every monochromatic
-    component stays below n_bound vertices; None if impossible or budget hit."""
+    component stays below n_bound vertices; None if impossible or after
+    200,000 search nodes."""
 
     def component_small(adj, u, v) -> bool:
         seen = {u}
@@ -323,7 +449,7 @@ def _component_bounded_search(edges: list[tuple[int, int]], num_colors: int,
         return True
 
     _, found, _ = backtrack_edge_coloring(edges, num_colors, component_small,
-                                          node_budget)
+                                          200_000)
     return found
 
 
@@ -348,16 +474,9 @@ def _color_small_part(g: Graph, vertices, n_bound: int, first_color: int,
         q = q_for_ramsey(num_colors)
         s = (n_bound - 1) // q
         if s >= 1 and len(vs) <= q * q * s:
-            plane = make_affine_plane(q)
-            rank = {v: i for i, v in enumerate(vs)}
-            out = {}
-            for u, v in edges:
-                cu, cv = rank[u] // s, rank[v] // s
-                if cu == cv:
-                    out[(u, v)] = first_color
-                else:
-                    out[(u, v)] = first_color + plane.class_of_pair(cu, cv)
-            return out, "affine"
+            cell = {v: i // s for i, v in enumerate(vs)}
+            return (_cell_coloring(edges, cell, make_affine_plane(q), first_color),
+                    "affine")
     if len(edges) <= 30:
         found = _component_bounded_search(edges, num_colors, n_bound)
         if found is not None:
@@ -421,14 +540,8 @@ def affine_component_coloring(N: int, n: int, r: int
             f"K_{N} exceeds the blow-up of AG(2, {q}) with cells of {s}",
             max_value=capacity,
         )
-    plane = make_affine_plane(q)
-    colors = {}
-    for u, v in host.edges:
-        cu, cv = u // s, v // s
-        if cu == cv:
-            colors[(u, v)] = 1
-        else:
-            colors[(u, v)] = 1 + plane.class_of_pair(cu, cv)
+    colors = _cell_coloring(host.edges, {v: v // s for v in range(N)},
+                            make_affine_plane(q), 1)
     cells: dict[str, tuple[int, ...]] = {}
     for p in range((N + s - 1) // s):
         members = tuple(range(p * s, min((p + 1) * s, N)))
@@ -454,10 +567,6 @@ def beck_coloring(g: Graph, prof: BipartiteProfile
     if prof.n1 * prof.delta1 < prof.n2 * prof.delta2:
         raise DomainError("profile must be canonically oriented")
     x = frozenset(v for v in g.vertices() if g.degree(v) < prof.delta1)
-    colors = {}
-    for u, v in g.edges:
-        cross = (u in x) != (v in x)
-        colors[(u, v)] = 1 if cross else 2
     plan = ColoringPlan(
         strategy="beck",
         parts={"X": tuple(sorted(x)),
@@ -465,7 +574,7 @@ def beck_coloring(g: Graph, prof: BipartiteProfile
         parameters={"delta1": prof.delta1,
                     "beta": prof.n1 * prof.delta1 + prof.n2 * prof.delta2},
     )
-    return EdgeColoring(g, 2, colors), plan
+    return EdgeColoring(g, 2, _split_2coloring(g, x)), plan
 
 
 # ---------------------------------------------------------------------------
@@ -491,11 +600,7 @@ def chi3_coloring(g: Graph, h: Graph, r: int, seed: int = 0,
     if is_bipartite(h):
         raise DomainError("target must be non-bipartite; use a bipartite construction")
     m = h.edge_count
-    bound = Fraction(r * r * m, 4)
-    if g.edge_count >= bound:
-        raise DomainError(
-            f"host has {g.edge_count} edges; the construction needs fewer than {bound}"
-        )
+    _require_below(g, _chi3_bound(m, r))
     v0 = sorted(v for v in g.vertices() if g.degree(v) ** 2 > r * r * m)
     rest = sorted(set(g.vertices()) - set(v0))
     colors: dict[tuple[int, int], int] = {}
@@ -517,14 +622,8 @@ def chi3_coloring(g: Graph, h: Graph, r: int, seed: int = 0,
         for p in pts:
             lines_through[p].append(lid)
     rest_edges = edges_within(g, rest)
-    rng = random.Random(seed)
-    cell: dict[int, int] = {}
-    attempt = 0
-    best_load = None
-    ok = False
-    while attempt < max_retries:
-        attempt += 1
-        cell = {v: rng.randrange(q * q) for v in rest}
+
+    def peak_line_load(cell: dict[int, int]) -> tuple[int, bool]:
         loads = [0] * len(plane.lines)
         for u, v in rest_edges:
             cu, cv = cell[u], cell[v]
@@ -535,23 +634,13 @@ def chi3_coloring(g: Graph, h: Graph, r: int, seed: int = 0,
                 lid, _ = plane.line_through(cu, cv)
                 loads[lid] += 1
         peak = max(loads, default=0)
-        if best_load is None or peak < best_load:
-            best_load = peak
-        if peak < m:
-            ok = True
-            break
-    if not ok:
-        raise LasVegasError(
-            f"no cell partition with all line loads below {m}",
-            retries=max_retries,
-            best=f"best peak line load {best_load}",
-        )
-    for u, v in rest_edges:
-        cu, cv = cell[u], cell[v]
-        if cu == cv:
-            colors[(u, v)] = r + 2
-        else:
-            colors[(u, v)] = r + 2 + plane.class_of_pair(cu, cv)
+        return peak, peak < m
+
+    cell, best_load, retries = _resample(
+        seed, max_retries, lambda rng: {v: rng.randrange(q * q) for v in rest},
+        peak_line_load, f"no cell partition with all line loads below {m}",
+        "best peak line load")
+    colors.update(_cell_coloring(rest_edges, cell, plane, r + 2))
     parts: dict[str, tuple[int, ...]] = {"V0": tuple(v0)}
     by_cell: dict[int, list[int]] = defaultdict(list)
     for v, c in cell.items():
@@ -563,7 +652,7 @@ def chi3_coloring(g: Graph, h: Graph, r: int, seed: int = 0,
         parts=parts,
         parameters={"q": q, "m": m, "r": r, "v0_method": inner_method,
                     "max_line_load": best_load},
-        retries=attempt - 1,
+        retries=retries,
     )
     return EdgeColoring(g, 3 * r, colors), plan
 
@@ -572,19 +661,20 @@ def chi3_coloring(g: Graph, h: Graph, r: int, seed: int = 0,
 # bipartite constructions
 
 
-def _oriented_delta_first(prof: BipartiteProfile) -> BipartiteProfile:
-    return prof if prof.delta1 >= prof.delta2 else prof.swapped()
-
-
 def _self_verify_or_fallback(g: Graph, coloring: EdgeColoring,
                              plan: ColoringPlan, target: Graph | None,
                              palette: int) -> EdgeColoring:
     """Check the finished coloring against the target and fall back to an
     exhaustive target-free coloring if a monochromatic copy slipped in.
 
-    The primary constructions have narrow unsound regimes (mixed-role color
-    classes); certificates stay sound because this check runs before any
-    verdict is claimed.
+    The primary constructions have narrow unsound regimes.  In a bucket
+    color every X vertex has degree at most k = delta2 - 1, so each vertex
+    of H of degree above k must map into Y; when no two of them are
+    adjacent, all their edges can run between Y and X inside one bucket
+    color.  For example, weakbip with r = 2 on the host Ho}?pRW leaves a
+    copy of the 8-vertex tree GsOGGG in color 1: the tree's two degree-3
+    vertices are at distance 3 and k = 2.  Certificates stay sound
+    because this check runs before any verdict is claimed.
     """
     if target is None:
         return coloring
@@ -604,11 +694,12 @@ def _self_verify_or_fallback(g: Graph, coloring: EdgeColoring,
     )
 
 
-def weakbip_coloring(g: Graph, prof: BipartiteProfile, r: int, seed: int = 0,
-                     max_retries: int = 1000, target: Graph | None = None
+def weakbip_coloring(g: Graph, prof: BipartiteProfile, r: int, *,
+                     target: Graph | None = None
                      ) -> tuple[EdgeColoring, ColoringPlan]:
     """Color g with at most 2r colors against a bipartite non-star H,
-    provided e(g) < r^2 (delta2 - 1)(n1 + n2) / 4 with delta2 = min degree.
+    provided e(g) < r^2 (delta2 - 1)(n1 + n2) / 4 with delta2 the smaller
+    of the two part max degrees.
 
     Low-degree vertices X get the bucket lemma over all their edges with
     width delta2 - 1; the few remaining vertices Y span few edges and get a
@@ -616,21 +707,10 @@ def weakbip_coloring(g: Graph, prof: BipartiteProfile, r: int, seed: int = 0,
     """
     if r < 2:
         raise DomainError(f"weakbip coloring needs r >= 2, got {r}")
+    _require_below(g, _weakbip_bound(prof, r))
     p = _oriented_delta_first(prof)
-    if p.delta2 < 2:
-        raise DomainError("target is a star; the star bound is exact instead")
     k = p.delta2 - 1
-    bound = Fraction(r * r * k * (p.n1 + p.n2), 4)
-    if g.edge_count >= bound:
-        raise DomainError(
-            f"host has {g.edge_count} edges; the construction needs fewer than {bound}"
-        )
-    x = frozenset(v for v in g.vertices() if g.degree(v) <= r * k - 1)
-    y = sorted(set(g.vertices()) - x)
-    if not Fraction(len(y)) < Fraction(r * (p.n1 + p.n2), 2):
-        raise ConstructionError(
-            f"{len(y)} high-degree vertices contradict the edge precondition"
-        )
+    x, y = _degree_split(g, r * k - 1, Fraction(r * (p.n1 + p.n2), 2))
     bucket_col, bucket_plan = vizing_bucket_coloring(g, x, r, k)
     colors = dict(bucket_col.colors)
     y_colors, y_method = _color_small_part(
@@ -676,25 +756,13 @@ def gen2_coloring(g: Graph, prof: BipartiteProfile, r: int, seed: int = 0,
         raise DomainError(f"gen2 coloring needs r >= 2, got {r}")
     if prof.n1 * prof.delta1 < prof.n2 * prof.delta2:
         raise DomainError("profile must be canonically oriented")
-    if min(prof.delta1, prof.delta2) < 2 or min(prof.n1, prof.n2) < 2:
-        raise DomainError("target is a star; the star bound is exact instead")
+    _require_below(g, _gen2_bound(prof, r))
     n1, n2, d1, d2 = prof.n1, prof.n2, prof.delta1, prof.delta2
     k1 = d1 - 1
-    bound = Fraction(r * r * k1 * n1, 4)
-    if g.edge_count >= bound:
-        raise DomainError(
-            f"host has {g.edge_count} edges; the construction needs fewer than {bound}"
-        )
-    x = frozenset(v for v in g.vertices() if g.degree(v) <= r * k1 - 1)
-    y = sorted(set(g.vertices()) - x)
-    if not Fraction(len(y)) < Fraction(r * n1, 2):
-        raise ConstructionError(
-            f"{len(y)} high-degree vertices contradict the edge precondition"
-        )
+    x, y = _degree_split(g, r * k1 - 1, Fraction(r * n1, 2))
     colors: dict[tuple[int, int], int] = {}
     # intra-X buckets, colors 1..r
-    inner_edges = edges_within(g, x)
-    st = _proper_coloring(inner_edges, r * k1)
+    st = _proper_coloring(edges_within(g, x), r * k1)
     for e, c in st.colors.items():
         colors[e] = (c - 1) // k1 + 1
     # inside Y, colors r+1..2r
@@ -714,7 +782,6 @@ def gen2_coloring(g: Graph, prof: BipartiteProfile, r: int, seed: int = 0,
     }
     params: dict[str, object] = {"k": k1, "r": r, "y_method": y_method}
     retries = 0
-    rng = random.Random(seed)
     if d1 <= d2:
         # Case 1: bucket the interface at width delta1 - 1, colors 2r+1..3r
         params["case"] = "1"
@@ -754,37 +821,26 @@ def gen2_coloring(g: Graph, prof: BipartiteProfile, r: int, seed: int = 0,
         if split == "3.1":
             # randomized 2r-partition of Y; every part below n1 and every
             # X1 vertex with below delta1 neighbors in each part
-            ok = False
-            best = None
-            while retries < max_retries:
-                retries += 1
-                assign = {v: rng.randrange(2 * r) for v in y}
+            def worst_part(assign: dict[int, int]) -> tuple[int, bool]:
                 sizes = [0] * (2 * r)
                 for v in y:
                     sizes[assign[v]] += 1
                 worst = max(sizes, default=0)
-                good = worst <= n1 - 1
-                if good:
-                    for v in x1set:
-                        counts = [0] * (2 * r)
-                        for w in g.neighbors(v):
-                            if w in yset:
-                                counts[assign[w]] += 1
-                        if max(counts, default=0) > d1 - 1:
-                            good = False
-                            worst = max(worst, max(counts))
-                            break
-                if best is None or worst < best:
-                    best = worst
-                if good:
-                    ok = True
-                    break
-            if not ok:
-                raise LasVegasError(
-                    "no balanced Y partition found for the interface",
-                    retries=max_retries,
-                    best=f"best worst-part statistic {best}",
-                )
+                if worst > n1 - 1:
+                    return worst, False
+                for v in x1set:
+                    counts = [0] * (2 * r)
+                    for w in g.neighbors(v):
+                        if w in yset:
+                            counts[assign[w]] += 1
+                    if max(counts, default=0) > d1 - 1:
+                        return max(worst, max(counts)), False
+                return worst, True
+
+            assign, _, retries = _resample(
+                seed, max_retries, lambda rng: {v: rng.randrange(2 * r) for v in y},
+                worst_part, "no balanced Y partition found for the interface",
+                "best worst-part statistic")
             for (u, v), anchor in cross_x1:
                 other = v if anchor == u else u
                 colors[(u, v)] = 3 * r + 1 + assign[other]
@@ -797,7 +853,6 @@ def gen2_coloring(g: Graph, prof: BipartiteProfile, r: int, seed: int = 0,
             # Case 3.2: heavy Y0 toward X1 handled by an r-way split, the
             # remainder by 2r x 2r random blocks, one 2-color pair per
             # block matching
-            b = n1 * d1 + n2 * d2
             thresh = Fraction(r, 2) * Fraction(d1 * n1, n2)
             y0 = sorted(
                 v for v in y
@@ -815,7 +870,6 @@ def gen2_coloring(g: Graph, prof: BipartiteProfile, r: int, seed: int = 0,
                 raise ConstructionError("Y0 cannot be split into parts below n2")
             part_of = {v: i for i, ch in enumerate(chunks) for v in ch}
             y0set = set(y0)
-            y1set = set(y1)
             block_edges = []
             for (u, v), anchor in cross_x1:
                 other = v if anchor == u else u
@@ -823,31 +877,25 @@ def gen2_coloring(g: Graph, prof: BipartiteProfile, r: int, seed: int = 0,
                     colors[(u, v)] = 3 * r + 1 + part_of[other]
                 else:
                     block_edges.append(((u, v), anchor, other))
-            # Las Vegas double partition: every block spans < beta/4 edges
-            quarter = Fraction(b, 4)
-            ok = False
-            best = None
-            ax: dict[int, int] = {}
-            ay: dict[int, int] = {}
-            while retries < max_retries:
-                retries += 1
-                ax = {v: rng.randrange(2 * r) for v in x1}
-                ay = {v: rng.randrange(2 * r) for v in y1}
+            # Las Vegas double partition: every block spans fewer edges
+            # than Beck's threshold, so Beck's split colors it
+            quarter = _beck_bound(n1 * d1 + n2 * d2)
+
+            def peak_block_load(blocks) -> tuple[int, bool]:
+                ax, ay = blocks
                 loads: dict[tuple[int, int], int] = defaultdict(int)
                 for _, anchor, other in block_edges:
                     loads[(ax[anchor], ay[other])] += 1
                 peak = max(loads.values(), default=0)
-                if best is None or peak < best:
-                    best = peak
-                if Fraction(peak) < quarter:
-                    ok = True
-                    break
-            if not ok:
-                raise LasVegasError(
-                    "no block partition with all block loads below beta/4",
-                    retries=max_retries,
-                    best=f"best peak block load {best}",
-                )
+                return peak, peak < quarter
+
+            (ax, ay), _, retries = _resample(
+                seed, max_retries,
+                lambda rng: ({v: rng.randrange(2 * r) for v in x1},
+                             {v: rng.randrange(2 * r) for v in y1}),
+                peak_block_load,
+                "no block partition with all block loads below beta/4",
+                "best peak block load")
             # per-block degree-split 2-coloring on the pair owned by the
             # block's matching index
             deg_in_block: dict[tuple[int, int, int], int] = defaultdict(int)
@@ -864,27 +912,19 @@ def gen2_coloring(g: Graph, prof: BipartiteProfile, r: int, seed: int = 0,
                 cross_split = low_anchor != low_other
                 colors[(u, v)] = base + 1 if cross_split else base + 2
             for i in range(2 * r):
-                parts[f"X1_{i}"] = tuple(sorted(v for v in x1 if ax.get(v) == i))
-                parts[f"Y1_{i}"] = tuple(sorted(v for v in y1 if ay.get(v) == i))
+                parts[f"X1_{i}"] = tuple(sorted(v for v in x1 if ax[v] == i))
+                parts[f"Y1_{i}"] = tuple(sorted(v for v in y1 if ay[v] == i))
     coloring = EdgeColoring(g, 8 * r, colors)
-    plan = ColoringPlan(
-        strategy="gen2",
-        parts=parts,
-        parameters=params,
-        retries=retries if "case" in params and params["case"] in ("3.1", "3.2")
-        else 0,
-        aux={"proper_inner": dict(st.colors)},
-    )
+    plan = ColoringPlan(strategy="gen2", parts=parts, parameters=params,
+                        retries=retries)
     coloring = _self_verify_or_fallback(g, coloring, plan, target, 8 * r)
     return coloring, plan
-
 
 # ---------------------------------------------------------------------------
 # double stars
 
 
-def double_star_coloring(g: Graph, n: int, m: int, r: int, seed: int = 0,
-                         max_retries: int = 1000
+def double_star_coloring(g: Graph, n: int, m: int, r: int
                          ) -> tuple[EdgeColoring, ColoringPlan]:
     """r-color g against the double star S_{n,m}, provided
     e(g) < (r^2 - 1)(nm + m^2)/16.
@@ -899,19 +939,10 @@ def double_star_coloring(g: Graph, n: int, m: int, r: int, seed: int = 0,
         raise DomainError(f"double star needs n >= m >= 1, got ({n}, {m})")
     if r < 2:
         raise DomainError(f"double star coloring needs r >= 2, got {r}")
-    bound = Fraction((r * r - 1) * (n * m + m * m), 16)
-    if g.edge_count >= bound:
-        raise DomainError(
-            f"host has {g.edge_count} edges; the construction needs fewer than {bound}"
-        )
+    _require_below(g, _double_star_bound(n, m, r))
     r_low = r // 2
     r_high = r - r_low
-    x = frozenset(v for v in g.vertices() if g.degree(v) <= r_low * m - 1)
-    y = sorted(set(g.vertices()) - x)
-    if not Fraction(len(y)) < Fraction(r_high, 2) * (n + m):
-        raise ConstructionError(
-            f"{len(y)} high-degree vertices contradict the edge precondition"
-        )
+    x, y = _degree_split(g, r_low * m - 1, Fraction(r_high, 2) * (n + m))
     bucket_col, bucket_plan = vizing_bucket_coloring(g, x, r_low, m)
     colors = dict(bucket_col.colors)
     y_colors, y_method = _color_small_part(
@@ -940,27 +971,14 @@ def double_star_2coloring(g: Graph, n: int, m: int
     """
     if not (n >= m >= 1):
         raise DomainError(f"double star needs n >= m >= 1, got ({n}, {m})")
-    bound = Fraction((n + 1) * (m + 1), 2) + Fraction((m + 1) ** 2, 2)
-    if g.edge_count >= bound:
-        raise DomainError(
-            f"host has {g.edge_count} edges; the construction needs fewer than {bound}"
-        )
-    x = frozenset(v for v in g.vertices() if g.degree(v) <= m)
-    y = sorted(set(g.vertices()) - x)
-    if not len(y) < n + m + 2:
-        raise ConstructionError(
-            f"{len(y)} high-degree vertices contradict the edge precondition"
-        )
-    colors = {}
-    for u, v in g.edges:
-        cross = (u in x) != (v in x)
-        colors[(u, v)] = 1 if cross else 2
+    _require_below(g, _double_star_2col_bound(n, m))
+    x, y = _degree_split(g, m, n + m + 2)
     plan = ColoringPlan(
         strategy="double_star_2col",
         parts={"X": tuple(sorted(x)), "Y": tuple(y)},
         parameters={"n": n, "m": m},
     )
-    return EdgeColoring(g, 2, colors), plan
+    return EdgeColoring(g, 2, _split_2coloring(g, x)), plan
 
 
 # ---------------------------------------------------------------------------
@@ -978,10 +996,9 @@ def scaled_nonstar_coloring(g: Graph, h: Graph, r: int, seed: int = 0,
         raise DomainError("target must be connected with at least one edge")
     if is_bipartite(h):
         if is_star(h):
-            raise DomainError("target is a star; the star bound is exact instead")
+            raise DomainError(_STAR_TARGET)
         inner = r // 2
-        coloring, plan = weakbip_coloring(g, profile(h), inner, seed,
-                                          max_retries, target=h)
+        coloring, plan = weakbip_coloring(g, profile(h), inner, target=h)
     else:
         inner = r // 3
         coloring, plan = chi3_coloring(g, h, inner, seed, max_retries)
@@ -1000,7 +1017,7 @@ def scaled_bipartite_coloring(g: Graph, h: Graph, r: int, seed: int = 0,
     if not is_connected(h) or not is_bipartite(h) or h.edge_count == 0:
         raise DomainError("target must be connected and bipartite")
     if is_star(h):
-        raise DomainError("target is a star; the star bound is exact instead")
+        raise DomainError(_STAR_TARGET)
     inner = r // 8
     coloring, plan = gen2_coloring(g, profile(h), inner, seed, max_retries,
                                    target=h)
@@ -1036,20 +1053,15 @@ def lower_bound_value(h: Graph, r: int) -> tuple[Fraction, str]:
     if bip:
         b = beta(h)
         if r == 2:
-            cands.append((Fraction(b, 4), "beck"))
+            cands.append((_beck_bound(b), "beck"))
         if r >= 16:
             cands.append((Fraction(r * r * b, 2048), "nonstar_beta"))
         ds = is_double_star(h)
         if ds is not None:
             n, mm = ds
-            cands.append(
-                (Fraction((r * r - 1) * (n * mm + mm * mm), 16), "double_star")
-            )
+            cands.append((_double_star_bound(n, mm, r), "double_star"))
             if r == 2:
-                cands.append(
-                    (Fraction(b, 4) + Fraction((mm + 1) ** 2, 2),
-                     "double_star_2col")
-                )
+                cands.append((_double_star_2col_bound(n, mm), "double_star_2col"))
     best = cands[0]
     for cand in cands[1:]:
         if cand[0] > best[0]:
@@ -1075,31 +1087,17 @@ STRATEGIES = (
 def strategy_bound(strategy: str, target: Graph, r: int) -> Fraction:
     """Edge threshold of a construction: hosts must stay strictly below it."""
     if strategy == "beck":
-        return Fraction(beta(target), 4)
+        return _beck_bound(beta(target))
     if strategy == "double_star_2col":
-        ds = is_double_star(target)
-        if ds is None:
-            raise DomainError("target is not a double star")
-        n, m = ds
-        return Fraction((n + 1) * (m + 1), 2) + Fraction((m + 1) ** 2, 2)
+        return _double_star_2col_bound(*_double_star_shape(target))
     if strategy == "double_star":
-        ds = is_double_star(target)
-        if ds is None:
-            raise DomainError("target is not a double star")
-        n, m = ds
-        return Fraction((r * r - 1) * (n * m + m * m), 16)
+        return _double_star_bound(*_double_star_shape(target), r)
     if strategy == "chi3":
-        return Fraction(r * r * target.edge_count, 4)
+        return _chi3_bound(target.edge_count, r)
     if strategy == "weakbip":
-        p = _oriented_delta_first(profile(target))
-        if p.delta2 < 2:
-            raise DomainError("target is a star; the star bound is exact instead")
-        return Fraction(r * r * (p.delta2 - 1) * (p.n1 + p.n2), 4)
+        return _weakbip_bound(profile(target), r)
     if strategy == "gen2":
-        p = profile(target)
-        if min(p.delta1, p.delta2) < 2:
-            raise DomainError("target is a star; the star bound is exact instead")
-        return Fraction(r * r * (p.delta1 - 1) * p.n1, 4)
+        return _gen2_bound(profile(target), r)
     if strategy == "affine":
         q = q_for_ramsey(r)
         s = (target.vertex_count - 1) // q
@@ -1122,25 +1120,16 @@ def certify(strategy: str, host: Graph, target: Graph, r: int, seed: int = 0,
         coloring, plan = beck_coloring(host, profile(target))
         palette = 2
     elif strategy == "double_star_2col":
-        ds = is_double_star(target)
-        if ds is None:
-            raise DomainError("target is not a double star")
-        n, m = ds
-        coloring, plan = double_star_2coloring(host, n, m)
+        coloring, plan = double_star_2coloring(host, *_double_star_shape(target))
         palette = 2
     elif strategy == "double_star":
-        ds = is_double_star(target)
-        if ds is None:
-            raise DomainError("target is not a double star")
-        n, m = ds
-        coloring, plan = double_star_coloring(host, n, m, r, seed, max_retries)
+        coloring, plan = double_star_coloring(host, *_double_star_shape(target), r)
         palette = r
     elif strategy == "chi3":
         coloring, plan = chi3_coloring(host, target, r, seed, max_retries)
         palette = 3 * r
     elif strategy == "weakbip":
-        coloring, plan = weakbip_coloring(host, profile(target), r, seed,
-                                          max_retries, target=target)
+        coloring, plan = weakbip_coloring(host, profile(target), r, target=target)
         palette = 2 * r
     elif strategy == "gen2":
         coloring, plan = gen2_coloring(host, profile(target), r, seed,

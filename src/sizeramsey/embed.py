@@ -170,9 +170,8 @@ def ramsey_embed_test(coloring: EdgeColoring, tree: Graph
     if not is_tree(tree) or tree.vertex_count == 0:
         raise DomainError("target must be a nonempty tree")
     classes = coloring.classes()
-    majority = max(range(1, coloring.r + 1),
-                   key=lambda c: (len(classes[c]), -c))
-    class_edges = classes[majority]
+    majority = max(classes, key=lambda c: (len(classes[c]), -c), default=1)
+    class_edges = classes.get(majority, [])
     class_graph = Graph(host.vertex_count, class_edges)
     e1 = len(class_edges)
     if e1 == 0:

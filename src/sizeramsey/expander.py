@@ -293,11 +293,7 @@ class TrialReport:
 
 
 def appendix_trial(params: ExpanderParams, tree: Graph, seed: int,
-                   adversary: str = "random", k: int = 32,
-                   sparsity_mode: str = "exact",
-                   sparsity_budget: int = 200_000,
-                   expansion_mode: str = "auto",
-                   expansion_budget: int = 200_000) -> TrialReport:
+                   adversary: str = "random", k: int = 32) -> TrialReport:
     """Sample one host, color it adversarially, and hunt the tree.
 
     adversary "random" colors edges uniformly; "worst_of_k" draws k random
@@ -310,8 +306,7 @@ def appendix_trial(params: ExpanderParams, tree: Graph, seed: int,
     r = params.r
     g = sample_gnp(params.N, params.p, seed)
     k_max = math.floor(params.delta * params.N)
-    spars = check_local_sparsity(g, params.delta, k_max, mode=sparsity_mode,
-                                 budget=sparsity_budget, seed=seed)
+    spars = check_local_sparsity(g, params.delta, k_max, seed=seed)
     # a stream distinct from the sampler's but still a pure function of seed
     rng = random.Random(seed ^ 0x9E3779B9)
     edges = g.sorted_edges()
@@ -338,8 +333,8 @@ def appendix_trial(params: ExpanderParams, tree: Graph, seed: int,
         raise DomainError(f"adversary must be 'random' or 'worst_of_k', got {adversary!r}")
     coloring = EdgeColoring(g, r, chosen)
     classes = coloring.classes()
-    majority = max(range(1, r + 1), key=lambda c: (len(classes[c]), -c))
-    class_edges = classes[majority]
+    majority = max(classes, key=lambda c: (len(classes[c]), -c), default=1)
+    class_edges = classes.get(majority, [])
     class_graph = Graph(params.N, class_edges)
     if params.N > 0:
         threshold = Fraction(2 * g.edge_count, params.N) / (2 * r)
@@ -349,7 +344,7 @@ def appendix_trial(params: ExpanderParams, tree: Graph, seed: int,
     expansion = check_expansion(
         core, factor=tree.max_degree(),
         max_set=max(2 * tree.vertex_count - 2, 1),
-        mode=expansion_mode, budget=expansion_budget, seed=seed,
+        budget=200_000, seed=seed,
     )
     emb = fp_embed(core, tree)
     mapping = None

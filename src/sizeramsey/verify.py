@@ -313,23 +313,14 @@ class EdgeColoring:
         return sorted(set(self.colors.values()))
 
     def classes(self) -> dict[int, list[tuple[int, int]]]:
-        out: dict[int, list[tuple[int, int]]] = {c: [] for c in range(1, self.r + 1)}
+        """Sorted edge list of each color in use; unused colors are absent,
+        so the cost does not depend on the palette size."""
+        out: dict[int, list[tuple[int, int]]] = {c: [] for c in self.used_colors()}
         for e, c in self.colors.items():
             out[c].append(e)
         for c in out:
             out[c].sort()
         return out
-
-    def class_adjacency(self, c: int) -> dict[int, set[int]]:
-        adj: dict[int, set[int]] = {}
-        for (u, v), cc in self.colors.items():
-            if cc == c:
-                adj.setdefault(u, set()).add(v)
-                adj.setdefault(v, set()).add(u)
-        return adj
-
-    def copy(self) -> "EdgeColoring":
-        return EdgeColoring(self.host, self.r, dict(self.colors))
 
     def __repr__(self) -> str:
         return f"EdgeColoring(r={self.r}, colored={len(self.colors)}/{self.host.edge_count})"
@@ -442,17 +433,14 @@ class _UnionFind:
 
 
 def max_mono_component(coloring: EdgeColoring) -> dict[int, int]:
-    """Largest connected component size per color class, isolated vertices
-    counting as 1.  Every palette color appears in the result."""
-    base = 1 if coloring.host.vertex_count >= 1 else 0
-    out: dict[int, int] = {c: base for c in range(1, coloring.r + 1)}
+    """Largest connected component size (in vertices) of each color in use.
+
+    Unused colors are absent; their components are single vertices."""
     per_color: dict[int, _UnionFind] = {}
     for (u, v), c in coloring.colors.items():
         uf = per_color.setdefault(c, _UnionFind())
         uf.union(u, v)
-    for c, uf in per_color.items():
-        out[c] = max(base, uf.max_size())
-    return out
+    return {c: uf.max_size() for c, uf in sorted(per_color.items())}
 
 
 # ---------------------------------------------------------------------------
@@ -529,6 +517,9 @@ def verify_certificate(cert: Certificate) -> Certificate:
         n_bound = cert.plan.parameters.get("n")
         if isinstance(n_bound, int):
             comp = max_mono_component(cert.coloring)
+            # color 1 stands for the unused colors, whose components are
+            # single vertices: with n_bound <= 1 it is the first refutation
+            comp.setdefault(1, min(cert.host.vertex_count, 1))
             for c in sorted(comp):
                 if comp[c] >= n_bound:
                     witness = {"kind": "component", "color": c, "size": comp[c],

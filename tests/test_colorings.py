@@ -27,6 +27,7 @@ from sizeramsey import (
     make_double_star,
     max_mono_component,
     mono_copy,
+    parse_graph6,
     path_graph,
     profile,
     scaled_bipartite_coloring,
@@ -377,6 +378,17 @@ def test_certify_rejects_bad_inputs():
         certify("double_star", path_graph(3), cycle_graph(4), 3)
     with pytest.raises(DomainError):
         certify("affine", path_graph(5), path_graph(5), 3)  # host not complete
+
+
+def test_weakbip_fallback_replaces_a_coloring_with_a_copy():
+    # the two degree-3 vertices of the tree GsOGGG are at distance 3, so a
+    # copy fits in one bucket color with both of them in Y (see
+    # colorings._self_verify_or_fallback); the exhaustive fallback recolors
+    cert = certify("weakbip", parse_graph6("Ho}?pRW"), parse_graph6("GsOGGG"), 2,
+                   seed=0)
+    assert cert.verdict == "verified"
+    assert cert.plan.parameters["fallback"] == "h_free_search"
+    assert cert.plan.parameters["primary_witness_color"] == 1
 
 
 def test_certify_affine_records_component_bound():

@@ -58,6 +58,7 @@ CERTIFICATES = [
     ("weakbip", "E}k?", "Cr", 3, 0, None),
     ("weakbip", "I~~~~~~~w", "EsP?", 4, 705191892, None),
     ("weakbip", "I~|~~~~|w", "EFz_", 4, 935903182, None),
+    ("weakbip", "Ho}?pRW", "GsOGGG", 2, 0, None),
     ("gen2", "J~~~~~~~~~_", "IsaAA@?O?", 4, 739395966, None),
     ("gen2", "J~~~~~~~~~_", "IsaCA@?O?", 4, 392609544, None),
     ("gen2", "K~~\\~~Y~^}^r", "H?BUTag", 4, 501867781, None),

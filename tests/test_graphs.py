@@ -171,19 +171,19 @@ def graphs(draw, max_n=9):
     return Graph(n, picked)
 
 
-@settings(max_examples=120, deadline=None)
+@settings(max_examples=120, deadline=None, derandomize=True)
 @given(graphs())
 def test_graph6_roundtrip_random(g):
     assert parse_graph6(emit_graph6(g)) == g
 
 
-@settings(max_examples=120, deadline=None)
+@settings(max_examples=120, deadline=None, derandomize=True)
 @given(graphs())
 def test_edge_list_roundtrip_random(g):
     assert parse_edge_list(emit_edge_list(g)) == g
 
 
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=80, deadline=None, derandomize=True)
 @given(graphs(max_n=8), st.randoms(use_true_random=False))
 def test_graph6_matches_networkx_random(g, pyrng):
     nx = pytest.importorskip("networkx")

@@ -100,15 +100,15 @@ def _certificate_doc() -> dict:
     return json.loads(certificate_to_json(cert))
 
 
-# JSON values with small integers: verify_certificate builds one entry per
-# palette color, so a drawn r of 10^9 would exhaust memory (see CHANGES.md)
+# JSON values with integers of any size: verify_certificate visits only the
+# colors in use, so a drawn r of 10^9 costs no more than r = 2
 def _json_containers(inner):
     return (st.lists(inner, max_size=4)
             | st.dictionaries(st.text(CHARS, max_size=6), inner, max_size=4))
 
 
 JSON_VALUES = st.recursive(
-    st.none() | st.booleans() | st.integers(-3, 300) | st.floats()
+    st.none() | st.booleans() | st.integers() | st.floats()
     | st.text(CHARS, max_size=8),
     _json_containers, max_leaves=8)
 
