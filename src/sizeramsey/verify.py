@@ -22,6 +22,20 @@ order and never tries the same copy once per ordering of its twins.  This
 is the symmetry-breaking condition of Grochow & Kellis (RECOMB 2007) cut
 down to twins; it returns exactly the embedding the search without it
 returns (see _backtrack_embed).
+
+The target-free coloring search breaks the symmetry of the host's twins
+in the same spirit.  Swapping two host twins permutes the host edges, and
+the search keeps only colorings whose tuple of colors, in sorted-edge
+order, is lexicographically no greater than its image under each such
+swap: the lex-leader constraints of Crawford, Ginsberg, Luks & Roy (KR
+1996), beside the existing precedence of new colors.  All of them are
+lex-leader constraints of one group, host automorphisms times color
+permutations, on one edge order (Law & Lee, Constraints 2006).  The least
+target-free coloring is no greater than any of its images, which are all
+target-free, so it meets every constraint.  The search tries colors in
+increasing order and finds that coloring first, so statuses and witness
+colorings are those of the search without these cuts; only the node
+counts fall (see backtrack_edge_coloring).
 """
 
 from __future__ import annotations
@@ -100,24 +114,31 @@ def _search_order(target: Graph, seed: tuple[int, ...] = ()) -> list[int]:
 _Plan = tuple[Sequence[int], list[list[int]], list[int], list[int]]
 
 
+def _twin_labels(g: Graph) -> list[int]:
+    """label[v]: the least of v and its twins, so that twins, and only
+    twins, share a label.
+
+    Twinship is an equivalence whose classes are cliques (true twins) or
+    independent sets (false twins), never both for one vertex, and one
+    dict holds both kinds of key: an open neighborhood N(u) never equals a
+    closed one N[v], as v in N(u) would put u in N(v), a subset of N(u).
+    """
+    first: dict[frozenset[int], int] = {}
+    label: list[int] = []
+    for v, nbrs in enumerate(g.adj):
+        w = first.setdefault(nbrs, v)
+        if w == v:
+            w = first.setdefault(nbrs | {v}, v)
+        label.append(w)
+    return label
+
+
 def _compile_plans(target: Graph, orders: Iterable[Sequence[int]]) -> list[_Plan]:
     """The plans of target for the given orders.  They depend only on the
     target and the orders, so a search that runs one order many times
     compiles it once."""
     tadj = target.adj
-    # label[v]: the least of v and its twins, so that twins, and only
-    # twins, share a label.  Twinship is an equivalence whose classes are
-    # cliques (true twins) or independent sets (false twins), never both
-    # for one vertex, and one dict holds both kinds of key: an open
-    # neighborhood N(u) never equals a closed one N[v], as v in N(u) would
-    # put u in N(v), a subset of N(u)
-    first: dict[frozenset[int], int] = {}
-    label: list[int] = []
-    for v, nbrs in enumerate(tadj):
-        w = first.setdefault(nbrs, v)
-        if w == v:
-            w = first.setdefault(nbrs | {v}, v)
-        label.append(w)
+    label = _twin_labels(target)
     plans = []
     for order in orders:
         pos = {v: i for i, v in enumerate(order)}
@@ -665,6 +686,7 @@ def backtrack_edge_coloring(
     r: int,
     admissible,
     node_budget: int | None = None,
+    swaps: Sequence[Sequence[tuple[int, int]]] = (),
 ) -> tuple[str, dict[tuple[int, int], int] | None, int]:
     """Backtracking search for an r-coloring of edges, in the given order,
     such that admissible(adj, u, v) holds each time an edge (u, v) joins a
@@ -672,15 +694,47 @@ def backtrack_edge_coloring(
 
     Returns (status, coloring, nodes) where status is 'free' (coloring
     found), 'arrows' (search space exhausted, none exists), or 'unknown'
-    (node budget hit).  Every color tried counts as a node.  Color
-    symmetry is broken by only allowing each new color once all smaller
-    ones have appeared.  The search keeps an explicit stack, so its depth
-    is not bounded by the interpreter's recursion limit.
+    (node budget hit).  Every color tried counts as a node.  The search
+    keeps an explicit stack, so its depth is not bounded by the
+    interpreter's recursion limit.
+
+    Two kinds of symmetry are broken, both as lex-leader constraints
+    x <=_lex g(x) (Crawford, Ginsberg, Luks & Roy, KR 1996), x being the
+    tuple of colors in edge order:
+
+    - colors: a new color comes only after every smaller one has
+      appeared (value precedence), so x is least among its images under
+      permutations of the colors;
+    - edges: each entry of swaps lists the edge-index pairs (lo, hi),
+      lo < hi, that one automorphism exchanges, sorted by lo, and fixes
+      every other edge.  x <=_lex g(x) fails iff at the first pair whose
+      colors differ, colors[lo] > colors[hi].  When a color is tried on
+      edge i, each swap with a pair hi == i is rescanned: the scan stops
+      at a pair whose hi is still uncolored, or whose colors differ, and
+      the color is cut when colors[lo] > colors[hi] there.
+
+    The cuts change no status and no coloring, provided that the finished
+    colorings passing admissible at every edge (the valid ones) are closed
+    under permuting the colors and under the automorphisms of swaps.  All
+    the constraints then belong to one group acting on one edge order, as in
+    Law & Lee (Constraints 2006).  Let x* be the lex-least valid coloring.
+    Each of its images g(x*) is valid, so x* <=_lex g(x*) for every
+    constraint, and no cut removes a prefix of x*.  The search tries
+    colors in increasing order, so it meets valid colorings in lex order
+    and returns x* with the cuts as without them, or finds that none
+    exists.  The cut tree is a subtree of the uncut one, visited in the
+    same order, so a search that ended within a node budget without the
+    cuts returns the same result with them.
     """
     m = len(edges)
     class_adj: list[dict[int, set[int]]] = [dict() for _ in range(r + 1)]
     colors = [0] * m  # color currently placed on each edge, 0 for none
     used = [0] * (m + 1)  # used[i]: largest color among edges[:i]
+    # watch[i]: the swaps to rescan when edge i takes a color
+    watch: list[list[Sequence[tuple[int, int]]]] = [[] for _ in range(m)]
+    for pairs in swaps:
+        for _, hi in pairs:
+            watch[hi].append(pairs)
     nodes = 0
     i = 0
     while 0 <= i < m:
@@ -696,11 +750,14 @@ def backtrack_edge_coloring(
             nodes += 1
             if node_budget is not None and nodes > node_budget:
                 return "unknown", None, nodes
+            colors[i] = c
+            if watch[i] and any(_after_its_swap(pairs, colors, i)
+                                for pairs in watch[i]):
+                continue
             adj = class_adj[c]
             adj.setdefault(u, set()).add(v)
             adj.setdefault(v, set()).add(u)
             if admissible(adj, u, v):
-                colors[i] = c
                 used[i + 1] = max(used[i], c)
                 i += 1
                 break
@@ -714,6 +771,49 @@ def backtrack_edge_coloring(
     return "free", dict(zip(edges, colors)), nodes
 
 
+def _after_its_swap(pairs: Sequence[tuple[int, int]], colors: list[int],
+                    i: int) -> bool:
+    """Whether colors, fixed on the edges up to i, already come after their
+    image under the swap whose edge-index pairs (lo, hi) are given sorted
+    by lo."""
+    for lo, hi in pairs:
+        if hi > i or colors[lo] < colors[hi]:
+            return False
+        if colors[lo] > colors[hi]:
+            return True
+    return False
+
+
+def _host_twin_swaps(g: Graph) -> list[list[tuple[int, int]]]:
+    """For each two consecutive twins a < b of g, the pairs (lo, hi) of
+    indices into g.sorted_edges() that swapping a and b exchanges: lo of
+    (a, w) and hi of (b, w) for each neighbor w of a other than b, which
+    puts lo < hi.  Each list is sorted by lo.
+
+    Swapping twins is a host automorphism that fixes every other edge.
+    The swaps of consecutive members generate every permutation of a twin
+    class, such as a side of K_{a,b}, all of K_n or the leaves of a star.
+    Swaps that exchange no edges, of isolated vertices, are left out.
+    """
+    swaps = []
+    # row[v][w]: the index of edge vw, built at the first twin pair
+    row: list[dict[int, int]] = []
+    last: dict[int, int] = {}  # the latest member of each twin class
+    for b, lab in enumerate(_twin_labels(g)):
+        a = last.get(lab, b)
+        last[lab] = b
+        if a == b:
+            continue
+        if not row:
+            row = [{} for _ in range(g.vertex_count)]
+            for k, (x, y) in enumerate(g.sorted_edges()):
+                row[x][y] = row[y][x] = k
+        pairs = sorted((row[a][w], row[b][w]) for w in row[a] if w != b)
+        if pairs:
+            swaps.append(pairs)
+    return swaps
+
+
 def search_h_free_coloring(
     g: Graph,
     target: Graph,
@@ -724,7 +824,13 @@ def search_h_free_coloring(
 
     Returns (status, coloring, nodes) as backtrack_edge_coloring does, over
     the host edges in sorted order.  An edge is admissible in a color when
-    no copy of the target in that class uses it.
+    no copy of the target in that class uses it, so the valid colorings
+    are the target-free ones, closed under permuting the colors and under
+    every host automorphism.  The search breaks the symmetry of the host's
+    twins (see _host_twin_swaps) besides that of the colors.  By the
+    argument in backtrack_edge_coloring, the status and the coloring are
+    those of the search without the twin cuts, the lex-least target-free
+    coloring in sorted-edge order; only the node count falls.
     """
     if target.edge_count == 0:
         raise DomainError("search needs a target with at least one edge")
@@ -743,4 +849,7 @@ def search_h_free_coloring(
         # pair draws its candidates from placed neighbors: no vertex list
         return _embed_in_adjacency(adj, (), plans, (u, v)) is None
 
-    return backtrack_edge_coloring(g.sorted_edges(), r, no_copy_through, node_budget)
+    # one color leaves every coloring fixed by every swap: nothing to cut
+    swaps = _host_twin_swaps(g) if r > 1 else []
+    return backtrack_edge_coloring(g.sorted_edges(), r, no_copy_through,
+                                   node_budget, swaps)

