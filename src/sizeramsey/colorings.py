@@ -1099,10 +1099,36 @@ def strategy_bound(strategy: str, target: Graph, r: int) -> Fraction:
     if strategy == "gen2":
         return _gen2_bound(profile(target), r)
     if strategy == "affine":
+        if r >= 3 and (r + 2) // 2 >= target.vertex_count:
+            # every q from q_for_ramsey exceeds n - 1, so cells are empty;
+            # its trial division would cost time growing with sqrt(r)
+            return Fraction(1)
         q = q_for_ramsey(r)
         s = (target.vertex_count - 1) // q
         return Fraction(comb(q * q * s, 2) + 1)
     raise DomainError(f"unknown strategy {strategy!r}; choose from {STRATEGIES}")
+
+
+# the palette of each strategy's certificates as a multiple of the r its
+# bound is stated for; the beck and double_star_2col bounds ignore r
+_PALETTE_FACTOR = {"beck": 1, "weakbip": 2, "gen2": 8, "double_star": 1,
+                   "double_star_2col": 1, "chi3": 3, "affine": 1}
+
+
+def certificate_bound(theorem_tag: str, target: Graph, palette: int
+                      ) -> Fraction | None:
+    """The bound a certificate of the tagged strategy claims for target
+    with the given palette, as certify writes it, or None when no
+    certificate can carry the tag, the target and the palette together:
+    an unknown tag, a palette that is not a multiple of the strategy's
+    factor, or a target or r outside the strategy's domain."""
+    factor = _PALETTE_FACTOR.get(theorem_tag)
+    if factor is None or palette % factor:
+        return None
+    try:
+        return strategy_bound(theorem_tag, target, palette // factor)
+    except DomainError:
+        return None
 
 
 def certify(strategy: str, host: Graph, target: Graph, r: int, seed: int = 0,

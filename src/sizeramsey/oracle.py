@@ -5,6 +5,15 @@ host is connected, since a monochromatic copy of a connected target lies
 inside one component), each host is tested by exhaustive coloring search,
 and the resulting exact values are compared against the package's own
 lower and upper bounds.  Disagreements are reported, never patched over.
+
+Two cuts skip work without changing any result.  The enumeration makes
+one child per orbit of the parent's twin swaps: every skipped child is
+isomorphic to a kept child of the same parent made before it, so the
+first-seen representative of every class, and with it every level, is
+that of trying every child (see _grow_levels).  And the exact search
+starts at r(e(H)-1)+1 edges: a host with at most r(e(H)-1) edges splits
+into r colors of fewer than e(H) edges each, so none of its colors holds
+a copy of H and it cannot arrow.
 """
 
 from __future__ import annotations
@@ -16,7 +25,15 @@ from .colorings import lower_bound_value
 from .embed import upper_bound_value
 from .errors import DomainError
 from .graphs import Graph, emit_graph6, is_connected, is_tree
-from .verify import EdgeColoring, mono_copy, search_h_free_coloring
+from .verify import (
+    EdgeColoring,
+    _anchored_plans,
+    _mono_copy,
+    _search_h_free,
+    _twin_labels,
+    mono_copy,
+    search_h_free_coloring,
+)
 
 __all__ = [
     "canonical_form",
@@ -129,6 +146,18 @@ def _grow_levels(emax: int, vmax: int | None):
     with e edges: remove a cycle edge if one exists, otherwise remove a
     leaf; so edge-additions between existing vertices plus pendant
     attachments reach everything.
+
+    Each parent makes one child per orbit of its twin swaps (McKay,
+    "Isomorph-free exhaustive generation", J. Algorithms 1998, cut down to
+    twins).  A new edge joins the least members of two twin classes, or
+    the two least members of one false-twin class; a pendant hangs only at
+    the least member of a class.  Swapping twins is an automorphism of
+    the parent, so a skipped child is isomorphic to the kept child that
+    its swaps map it to, the lexicographically least pair of its orbit,
+    which the same parent makes earlier.  A skipped child is therefore
+    never the first of its class to be seen: the representatives, their
+    order and every level are those of the generator that tries every
+    child.
     """
     if emax < 1:
         return
@@ -139,13 +168,21 @@ def _grow_levels(emax: int, vmax: int | None):
         nxt: dict[tuple[int, int], Graph] = {}
         for g in level.values():
             n = g.vertex_count
-            for u in range(n):
+            label = _twin_labels(g)
+            least = [v for v in range(n) if label[v] == v]
+            # second[u]: the next member of the class of its least member u
+            second: dict[int, int] = {}
+            for v in range(n):
+                if label[v] != v:
+                    second.setdefault(label[v], v)
+            for u in least:
                 for v in range(u + 1, n):
-                    if not g.has_edge(u, v):
+                    if ((label[v] == v or v == second.get(u))
+                            and not g.has_edge(u, v)):
                         g2 = Graph(n, list(g.edges) + [(u, v)])
                         nxt.setdefault(canonical_form(g2), g2)
             if vmax is None or n + 1 <= vmax:
-                for u in range(n):
+                for u in least:
                     g2 = Graph(n + 1, list(g.edges) + [(u, n)])
                     nxt.setdefault(canonical_form(g2), g2)
         level = nxt
@@ -187,10 +224,18 @@ def arrows(g: Graph, h: Graph, r: int, node_budget: int | None = None
     """
     if r < 1:
         raise DomainError(f"need r >= 1, got {r}")
-    status, colors, nodes = search_h_free_coloring(g, h, r, node_budget)
+    return _arrows(g, h, r, search_h_free_coloring(g, h, r, node_budget),
+                   mono_copy)
+
+
+def _arrows(g: Graph, h: Graph, r: int, found, copy_search) -> ArrowingResult:
+    """The result of a finished target-free coloring search of g, found =
+    (status, colors, nodes), with a free witness re-checked by
+    copy_search(coloring, h), a search for a monochromatic copy."""
+    status, colors, nodes = found
     if status == "free":
         witness = EdgeColoring(g, r, colors)
-        if mono_copy(witness, h) is not None:
+        if copy_search(witness, h) is not None:
             raise AssertionError(
                 "free witness contains a monochromatic copy; searcher bug"
             )
@@ -240,6 +285,14 @@ def size_ramsey_exact(h: Graph, r: int, emax: int,
     enumeration of connected hosts (vertex counts never exceed e+1, or
     vmax when given).
 
+    Hosts with at most r(e(h)-1) edges are ruled out by proof, not search:
+    split their edges into r colors of at most e(h)-1 edges each and no
+    color holds a copy of h.  The search starts at max(e(h), r(e(h)-1)+1)
+    edges; the smaller levels are still grown, as parents of the next.
+    The target's anchored plans are compiled once per call, and every host
+    goes through the search and the re-check of a free witness that
+    arrows runs, over those plans.
+
     Budget-limited hosts are collected rather than guessed at: the result
     is only "exact" when every smaller host was definitively shown not to
     arrow.
@@ -250,15 +303,24 @@ def size_ramsey_exact(h: Graph, r: int, emax: int,
         raise DomainError(f"need r >= 1, got {r}")
     if emax < 1:
         raise DomainError(f"need emax >= 1, got {emax}")
+    plans = _anchored_plans(h)
+
+    def copy_search(coloring: EdgeColoring, target: Graph):
+        # the first anchored plan without prescribed images is a complete
+        # search for a copy, so the re-check compiles nothing either
+        return _mono_copy(coloring, target, plans[:1])
+
+    start = max(h.edge_count, r * (h.edge_count - 1) + 1)
     total_nodes = 0
     unknown: list[tuple[int, str]] = []
     found_e: int | None = None
     found_host: str | None = None
     for e, graphs in _grow_levels(emax, vmax):
-        if e < h.edge_count:
+        if e < start:
             continue
         for g in graphs:
-            res = arrows(g, h, r, node_budget)
+            res = _arrows(g, h, r, _search_h_free(g, plans, r, node_budget),
+                          copy_search)
             total_nodes += res.nodes
             if res.status == "arrows":
                 found_e = e

@@ -12,7 +12,8 @@ last earlier twin) before any search runs it, and the search may
 prescribe the images of the plan's first positions.  The target-free
 coloring search compiles its 2·e(H) anchored plans, whose first two
 positions map onto the newly colored host edge, once per call and runs
-them at every search node.
+them at every search node; the exact oracle compiles them once for every
+host it searches.
 
 Twins are target vertices with the same open neighborhood (false twins,
 such as the leaves of one star center) or the same closed neighborhood
@@ -370,16 +371,26 @@ def mono_copy(coloring: EdgeColoring, target: Graph) -> tuple[int, Embedding] | 
     """
     if target.vertex_count > 0 and not is_connected(target):
         raise DomainError("mono_copy requires a connected target")
-    et = target.edge_count
     nt = target.vertex_count
-    dt = target.max_degree()
-    if et == 0:
+    if target.edge_count == 0:
         # a copy of an edgeless target exists in every color class iff the
         # host has enough vertices; color 1 is reported by convention
         if nt <= coloring.host.vertex_count:
             return 1, {i: i for i in range(nt)}
         return None
-    plans = _compile_plans(target, [_search_order(target)])
+    return _mono_copy(coloring, target,
+                      _compile_plans(target, [_search_order(target)]))
+
+
+def _mono_copy(coloring: EdgeColoring, target: Graph, plans: Sequence[_Plan]
+               ) -> tuple[int, Embedding] | None:
+    """mono_copy of a target with edges, searched with the given plans of
+    it.  Any one plan finds a copy in a class that holds one, so a caller
+    that needs only whether a copy exists may pass any single plan it
+    already compiled."""
+    et = target.edge_count
+    nt = target.vertex_count
+    dt = target.max_degree()
     for c, edges in sorted(coloring.classes().items()):
         if len(edges) < et:
             continue
@@ -524,7 +535,16 @@ def verify_certificate(cert: Certificate) -> Certificate:
     violation found.  Otherwise the returned copy carries verdict
     'verified', or 'refuted' together with a witness.  The function is
     pure: identical input yields an identical verdict.
+
+    After the coloring itself is checked, the claimed bound is recomputed
+    from the theorem tag, the target and the palette (see
+    colorings.certificate_bound).  A claim that differs, an unknown tag or
+    a palette the tag cannot have is refuted with a witness of kind
+    'bound' giving the recomputed bound, or None.
     """
+    # colorings imports this module, so its bound formulas load lazily
+    from .colorings import certificate_bound
+
     problems = _structural_violations(cert)
     if problems:
         raise CertificateValidationError(problems)
@@ -546,6 +566,12 @@ def verify_certificate(cert: Certificate) -> Certificate:
                     witness = {"kind": "component", "color": c, "size": comp[c],
                                "bound": n_bound}
                     return replace(cert, verdict="refuted", witness=witness)
+    bound = certificate_bound(cert.theorem_tag, cert.target, cert.r)
+    if bound != cert.claimed_bound:
+        witness = {"kind": "bound", "theorem_tag": cert.theorem_tag,
+                   "claimed": _jsonable(cert.claimed_bound),
+                   "bound": _jsonable(bound)}
+        return replace(cert, verdict="refuted", witness=witness)
     return replace(cert, verdict="verified", witness=None)
 
 
@@ -832,17 +858,27 @@ def search_h_free_coloring(
     those of the search without the twin cuts, the lex-least target-free
     coloring in sorted-edge order; only the node count falls.
     """
+    return _search_h_free(g, _anchored_plans(target), r, node_budget)
+
+
+def _anchored_plans(target: Graph) -> list[_Plan]:
+    """One anchored plan per target edge and orientation (x, y), its order
+    starting x, y: the 2·e(H) plans of a target-free coloring search.  They
+    depend only on the target, so a caller that searches many hosts for
+    one target compiles them once."""
     if target.edge_count == 0:
         raise DomainError("search needs a target with at least one edge")
     if not is_connected(target):
         raise DomainError("search needs a connected target")
+    return _compile_plans(target, [_search_order(target, seed=(x, y))
+                                   for a, b in target.sorted_edges()
+                                   for x, y in ((a, b), (b, a))])
 
-    # one anchored plan per target edge and orientation (x, y), its order
-    # starting x, y; plans depend only on the target, so the search node
-    # predicate below only runs them
-    plans = _compile_plans(target, [_search_order(target, seed=(x, y))
-                                     for a, b in target.sorted_edges()
-                                     for x, y in ((a, b), (b, a))])
+
+def _search_h_free(g: Graph, plans: list[_Plan], r: int,
+                   node_budget: int | None
+                   ) -> tuple[str, dict[tuple[int, int], int] | None, int]:
+    """search_h_free_coloring over the target's _anchored_plans."""
 
     def no_copy_through(adj, u, v) -> bool:
         # the target is connected, so every target vertex after the anchored

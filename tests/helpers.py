@@ -110,6 +110,35 @@ def first_h_free_coloring(host_edges: list[tuple[int, int]], host_n: int,
     return None
 
 
+def connected_levels(emax: int, vmax: int | None = None
+                     ) -> list[list[tuple[int, list[tuple[int, int]]]]]:
+    """Reference for the host enumeration: level e lists one
+    (vertex_count, sorted_edges) per isomorphism class of connected graphs
+    with e edges, sorted.  Every parent makes every child, each non-edge
+    added and a pendant hung at each vertex, and a class keeps the first
+    child seen, as the enumeration did before it pruned twin orbits."""
+    from sizeramsey import canonical_form
+
+    k2 = Graph(2, [(0, 1)])
+    level = {canonical_form(k2): k2}
+    out = [[(2, [(0, 1)])]]
+    for _ in range(2, emax + 1):
+        nxt = {}
+        for g in level.values():
+            n = g.vertex_count
+            children = [Graph(n, list(g.edges) + [(u, v)])
+                        for u, v in itertools.combinations(range(n), 2)
+                        if not g.has_edge(u, v)]
+            if vmax is None or n < vmax:
+                children += [Graph(n + 1, list(g.edges) + [(u, n)])
+                             for u in range(n)]
+            for child in children:
+                nxt.setdefault(canonical_form(child), child)
+        level = nxt
+        out.append(sorted((g.vertex_count, g.sorted_edges()) for g in level.values()))
+    return out
+
+
 def check_plane_axioms(plane) -> None:
     """Full incidence-axiom suite for an affine plane of order q."""
     q = plane.q

@@ -140,6 +140,21 @@ def test_verify_flags_refuted_certificate(capsys, tmp_path):
     assert "witness:" in out and "mono_copy" in out
 
 
+def test_verify_refutes_an_edited_bound(capsys, tmp_path):
+    # the coloring holds no P6, but beck's bound for P6 is 3, not 10^6
+    cert_file = tmp_path / "cert.json"
+    assert main(["certify", "--strategy", "beck", "--target", "path:6",
+                 "--host", "path:3", "-r", "2", "--out", str(cert_file)]) == 0
+    doc = json.loads(cert_file.read_text())
+    doc["claimed_bound"] = {"num": 10 ** 6, "den": 1}
+    cert_file.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["verify", str(cert_file)]) == 1
+    out = capsys.readouterr().out
+    assert "recomputed verdict: refuted" in out
+    assert '"kind": "bound"' in out
+
+
 def test_verify_missing_and_garbage_files(capsys, tmp_path):
     assert main(["verify", str(tmp_path / "absent.json")]) == 2
     junk = tmp_path / "junk.json"

@@ -7,6 +7,7 @@ import networkx as nx
 import pytest
 
 import helpers
+from sizeramsey import oracle, verify
 from sizeramsey import (
     ArrowingResult,
     DomainError,
@@ -199,6 +200,29 @@ def test_enumeration_vertex_cap():
     assert all(g.vertex_count <= 4 for g in capped)
 
 
+@pytest.mark.parametrize("emax, vmax", [(8, None), (8, 4), (8, 5)])
+def test_enumeration_matches_unpruned_reference(emax, vmax):
+    # one child per twin orbit keeps every level's first-seen
+    # representatives and their order
+    got = [[(g.vertex_count, g.sorted_edges()) for g in graphs]
+           for _, graphs in oracle._grow_levels(emax, vmax)]
+    assert got == helpers.connected_levels(emax, vmax)
+
+
+def test_enumeration_prunes_twin_orbits(monkeypatch):
+    # through 7 edges: K2 and 500 children; trying every child takes 706
+    calls = []
+    original = oracle.canonical_form
+
+    def counting(g):
+        calls.append(g.edge_count)
+        return original(g)
+
+    monkeypatch.setattr(oracle, "canonical_form", counting)
+    assert sum(len(graphs) for _, graphs in oracle._grow_levels(7, None)) == 131
+    assert len(calls) == 501
+
+
 def test_enumeration_bad_edge_count():
     with pytest.raises(DomainError):
         enumerate_connected_graphs(0)
@@ -282,7 +306,43 @@ def test_exact_budget_collects_unknowns():
     res = size_ramsey_exact(star(2), 2, emax=3, node_budget=1)
     assert res.status == "open"
     assert res.unknown_hosts != []
-    assert res.lower == 2  # the undecided 2-edge host keeps the floor low
+    # the 2-edge host is ruled out by proof (two colors of one edge each),
+    # so the undecided 3-edge hosts set the floor
+    assert res.lower == 3
+
+
+@pytest.mark.parametrize("target, r", [(star(2), 6), (path_graph(4), 2)],
+                         ids=["S2-6", "P4-2"])
+def test_exact_search_starts_at_the_pigeonhole_bound(monkeypatch, target, r):
+    # r(e(H)-1) edges split into r colors of e(H)-1 edges each: no host
+    # that small reaches the coloring search
+    searched = []
+    original = oracle._search_h_free
+
+    def recording(g, *args):
+        searched.append(g.edge_count)
+        return original(g, *args)
+
+    monkeypatch.setattr(oracle, "_search_h_free", recording)
+    res = size_ramsey_exact(target, r, emax=7)
+    assert res.status == "exact" and res.value == 7
+    assert searched and min(searched) == r * (target.edge_count - 1) + 1
+
+
+def test_exact_compiles_the_target_once_per_call(monkeypatch):
+    calls = []
+    original = verify._compile_plans
+
+    def counting(target, orders):
+        calls.append(target)
+        return original(target, orders)
+
+    monkeypatch.setattr(verify, "_compile_plans", counting)
+    res = size_ramsey_exact(path_graph(4), 2, emax=7)
+    assert res.value == 7 and len(calls) == 1
+    # nothing is kept from one call to the next
+    size_ramsey_exact(path_graph(4), 2, emax=7)
+    assert len(calls) == 2
 
 
 def test_exact_domain_errors():
@@ -318,7 +378,8 @@ def test_cross_check_nontree_has_no_upper():
 
 
 def test_cross_check_reports_instead_of_raising():
-    # budget-starved search still yields a structured report
-    report = cross_check_bounds(star(2), 2, emax=2, node_budget=1)
+    # budget-starved search still yields a structured report; the search
+    # starts at 3 edges, as no 2-edge host can arrow K_{1,2} with 2 colors
+    report = cross_check_bounds(star(2), 2, emax=3, node_budget=1)
     assert isinstance(report["violations"], list)
     assert report["exact"]["unknown_hosts"] != []

@@ -8,6 +8,7 @@ oracle in helpers.
 import json
 import random
 import time
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -164,9 +165,9 @@ def make_cert(**overrides):
         target=make_double_star(1, 1),
         r=2,
         coloring=coloring,
-        plan=ColoringPlan(strategy="beck", parts={"X": (0, 3)}),
-        claimed_bound=Fraction(4),
-        theorem_tag="beck",
+        plan=ColoringPlan(strategy="double_star_2col", parts={"X": (0, 3)}),
+        claimed_bound=Fraction(4),  # (1+1)(1+1)/2 + (1+1)^2/2 for S_{1,1}
+        theorem_tag="double_star_2col",
         seed=0,
     )
     base.update(overrides)
@@ -200,6 +201,26 @@ def test_verify_certificate_structural_errors():
         verify_certificate(make_cert(target=Graph(4, [(0, 1), (2, 3)])))
 
 
+def test_verify_certificate_checks_the_claimed_bound():
+    # beck's bound for P6 is 3, so a host of 2 edges is below it; a claim of
+    # 10^6 passes the structural check and is refuted by the recomputation
+    cert = certify("beck", path_graph(3), path_graph(6), 2)
+    assert cert.verdict == "verified" and cert.claimed_bound == 3
+    out = verify_certificate(replace(cert, claimed_bound=Fraction(10 ** 6)))
+    assert out.verdict == "refuted"
+    assert out.witness == {"kind": "bound", "theorem_tag": "beck",
+                           "claimed": {"num": 10 ** 6, "den": 1},
+                           "bound": {"num": 3, "den": 1}}
+    # an unknown tag, or a palette the strategy cannot have, has no bound
+    for tag, palette in (("folklore", 2), ("weakbip", 3), ("gen2", 4), ("chi3", 4)):
+        out = verify_certificate(replace(cert, theorem_tag=tag, r=palette))
+        assert out.verdict == "refuted" and out.witness["bound"] is None, tag
+    # a palette that divides gives the construction's bound back: weakbip's
+    # certificates carry 2r colors
+    weak = certify("weakbip", path_graph(3), path_graph(6), 2)
+    assert weak.r == 4 and verify_certificate(weak).verdict == "verified"
+
+
 def test_verify_cost_does_not_grow_with_the_palette():
     # only the colors in use are visited, so a palette of 10^9 costs
     # what a palette of 2 does
@@ -210,6 +231,17 @@ def test_verify_cost_does_not_grow_with_the_palette():
     fresh = verify_certificate(certificate_from_json(json.dumps(doc)))
     assert time.perf_counter() - start < 0.5
     assert fresh.verdict == "verified" and fresh.r == 10 ** 9
+    # nor does recomputing the affine bound: with r >= 2n - 1 every cell is
+    # empty and the bound is 1, without a search for the prime power q
+    with pytest.warns(RuntimeWarning, match="below the guidance"):
+        cert = certify("affine", complete_graph(1), path_graph(3), 3)
+    doc = json.loads(certificate_to_json(cert))
+    doc["r"] = 10 ** 30
+    doc["claimed_bound"] = {"num": 1, "den": 1}
+    start = time.perf_counter()
+    fresh = verify_certificate(certificate_from_json(json.dumps(doc)))
+    assert time.perf_counter() - start < 0.5
+    assert fresh.verdict == "verified"
 
 
 def test_affine_component_check_counts_unused_colors():
@@ -218,7 +250,8 @@ def test_affine_component_check_counts_unused_colors():
     coloring = EdgeColoring(host, 3, {(0, 1): 2, (1, 2): 3})
     plan = ColoringPlan(strategy="affine", parameters={"n": 1})
     cert = make_cert(host=host, target=path_graph(3), r=3, coloring=coloring,
-                     plan=plan, claimed_bound=Fraction(4))
+                     plan=plan, claimed_bound=Fraction(7),  # C(q^2 s, 2) + 1, q = 2, s = 1
+                     theorem_tag="affine")
     out = verify_certificate(cert)
     assert out.verdict == "refuted"
     assert out.witness == {"kind": "component", "color": 1, "size": 1, "bound": 1}
