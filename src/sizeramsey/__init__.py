@@ -43,7 +43,6 @@ from .expander import (
     appendix_trial,
     check_expansion,
     check_local_sparsity,
-    fp_embed,
     min_degree_peel,
     sample_gnp,
 )

@@ -159,7 +159,7 @@ def _cmd_analyze(args) -> int:
         p = profile(g)
         doc["profile"] = {"n1": p.n1, "delta1": p.delta1,
                           "n2": p.n2, "delta2": p.delta2}
-        doc["beta"] = p.n1 * p.delta1 + p.n2 * p.delta2
+        doc["beta"] = p.beta
         print(f"profile: n1={p.n1} delta1={p.delta1}  n2={p.n2} delta2={p.delta2}")
         print(f"beta: {doc['beta']}")
         if is_star(g):

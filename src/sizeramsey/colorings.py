@@ -571,8 +571,7 @@ def beck_coloring(g: Graph, prof: BipartiteProfile
         strategy="beck",
         parts={"X": tuple(sorted(x)),
                "Y": tuple(sorted(set(g.vertices()) - x))},
-        parameters={"delta1": prof.delta1,
-                    "beta": prof.n1 * prof.delta1 + prof.n2 * prof.delta2},
+        parameters={"delta1": prof.delta1, "beta": prof.beta},
     )
     return EdgeColoring(g, 2, _split_2coloring(g, x)), plan
 
@@ -711,7 +710,7 @@ def weakbip_coloring(g: Graph, prof: BipartiteProfile, r: int, *,
     p = _oriented_delta_first(prof)
     k = p.delta2 - 1
     x, y = _degree_split(g, r * k - 1, Fraction(r * (p.n1 + p.n2), 2))
-    bucket_col, bucket_plan = vizing_bucket_coloring(g, x, r, k)
+    bucket_col, _ = vizing_bucket_coloring(g, x, r, k)
     colors = dict(bucket_col.colors)
     y_colors, y_method = _color_small_part(
         g, y, n_bound=p.n1 + p.n2, first_color=r + 1, num_colors=r, target=target
@@ -722,7 +721,6 @@ def weakbip_coloring(g: Graph, prof: BipartiteProfile, r: int, *,
         strategy="weakbip",
         parts={"X": tuple(sorted(x)), "Y": tuple(y)},
         parameters={"k": k, "r": r, "y_method": y_method},
-        aux={"bucket_plan": bucket_plan},
     )
     coloring = _self_verify_or_fallback(g, coloring, plan, target, 2 * r)
     return coloring, plan
@@ -879,7 +877,7 @@ def gen2_coloring(g: Graph, prof: BipartiteProfile, r: int, seed: int = 0,
                     block_edges.append(((u, v), anchor, other))
             # Las Vegas double partition: every block spans fewer edges
             # than Beck's threshold, so Beck's split colors it
-            quarter = _beck_bound(n1 * d1 + n2 * d2)
+            quarter = _beck_bound(prof.beta)
 
             def peak_block_load(blocks) -> tuple[int, bool]:
                 ax, ay = blocks
@@ -943,7 +941,7 @@ def double_star_coloring(g: Graph, n: int, m: int, r: int
     r_low = r // 2
     r_high = r - r_low
     x, y = _degree_split(g, r_low * m - 1, Fraction(r_high, 2) * (n + m))
-    bucket_col, bucket_plan = vizing_bucket_coloring(g, x, r_low, m)
+    bucket_col, _ = vizing_bucket_coloring(g, x, r_low, m)
     colors = dict(bucket_col.colors)
     y_colors, y_method = _color_small_part(
         g, y, n_bound=n + m + 2, first_color=r_low + 1, num_colors=r_high,
@@ -954,7 +952,6 @@ def double_star_coloring(g: Graph, n: int, m: int, r: int
         strategy="double_star",
         parts={"X": tuple(sorted(x)), "Y": tuple(y)},
         parameters={"n": n, "m": m, "r": r, "y_method": y_method},
-        aux={"bucket_plan": bucket_plan},
     )
     return EdgeColoring(g, r, colors), plan
 

@@ -19,7 +19,7 @@ from itertools import combinations
 
 from .errors import DomainError
 from .graphs import Graph, induced_subgraph, is_tree, peel
-from .verify import EdgeColoring, fp_embed
+from .verify import EdgeColoring, find_subgraph
 
 __all__ = [
     "ExpanderParams",
@@ -29,7 +29,6 @@ __all__ = [
     "check_local_sparsity",
     "check_expansion",
     "min_degree_peel",
-    "fp_embed",
     "appendix_trial",
 ]
 
@@ -57,15 +56,14 @@ class ExpanderParams:
     d_prime: float
 
     @classmethod
-    def from_constants(cls, a: float, b: float, r: int, n: int,
-                       log=math.log) -> "ExpanderParams":
+    def from_constants(cls, a: float, b: float, r: int, n: int) -> "ExpanderParams":
         if r < 2:
             raise DomainError(f"need r >= 2, got {r}")
         if n < 1:
             raise DomainError(f"need n >= 1, got {n}")
         if a <= 0 or b <= 0:
             raise DomainError(f"constants must be positive, got a={a}, b={b}")
-        lnr = log(r)
+        lnr = math.log(r)
         c1 = b * r * lnr
         c2 = b * lnr / 4
         if c2 <= 1:
@@ -346,7 +344,7 @@ def appendix_trial(params: ExpanderParams, tree: Graph, seed: int,
         max_set=max(2 * tree.vertex_count - 2, 1),
         budget=200_000, seed=seed,
     )
-    emb = fp_embed(core, tree)
+    emb = find_subgraph(core, tree)
     mapping = None
     verified = False
     if emb is not None:

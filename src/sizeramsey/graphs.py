@@ -244,6 +244,11 @@ class BipartiteProfile:
     delta1: int
     delta2: int
 
+    @property
+    def beta(self) -> int:
+        """n1*delta1 + n2*delta2; orientation-independent."""
+        return self.n1 * self.delta1 + self.n2 * self.delta2
+
     def swapped(self) -> "BipartiteProfile":
         return BipartiteProfile(self.n2, self.n1, self.delta2, self.delta1)
 
@@ -266,9 +271,8 @@ def profile(h: Graph) -> BipartiteProfile:
 
 
 def beta(h: Graph) -> int:
-    """n1*delta1 + n2*delta2; orientation-independent."""
-    p = profile(h)
-    return p.n1 * p.delta1 + p.n2 * p.delta2
+    """beta of the profile of h: n1*delta1 + n2*delta2."""
+    return profile(h).beta
 
 
 def is_star(h: Graph) -> bool:

@@ -19,7 +19,7 @@ a copy of H and it cannot arrow.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from .colorings import lower_bound_value
 from .embed import upper_bound_value
@@ -82,10 +82,11 @@ def _adjacency_code(n: int, adj, ordering: list[int]) -> int:
     return code
 
 
-def _canon_code(n: int, adj, colors: list[int]) -> int:
+def _canon_code(adj, label: list[int], colors: list[int]) -> int:
     """Least leaf code of the individualization-refinement tree below the
     equitable coloring `colors` (McKay & Piperno, "Practical graph
-    isomorphism II", 2014), pruned at twins."""
+    isomorphism II", 2014), pruned at twins, which share a label."""
+    n = len(adj)
     classes: list[list[int]] = [[] for _ in range(max(colors) + 1)]
     for v, c in enumerate(colors):
         classes[c].append(v)
@@ -93,14 +94,14 @@ def _canon_code(n: int, adj, colors: list[int]) -> int:
     if cell is None:
         return _adjacency_code(n, adj, [cl[0] for cl in classes])
     best = None
-    tried: list[int] = []
+    tried: set[int] = set()
     for v in cell:
-        if any(adj[v] - {w} == adj[w] - {v} for w in tried):
+        if label[v] in tried:
             continue
-        tried.append(v)
+        tried.add(label[v])
         seeded = [2 * c for c in colors]
         seeded[v] += 1
-        code = _canon_code(n, adj, _wl_colors(n, adj, seeded))
+        code = _canon_code(adj, label, _wl_colors(n, adj, seeded))
         if best is None or code < best:
             best = code
     return best
@@ -120,7 +121,7 @@ def canonical_form(g: Graph) -> tuple[int, int]:
     is equal exactly for isomorphic graphs.
 
     A vertex v is skipped when it is a twin of a class member w already
-    tried (the neighbors of v other than w are those of w other than v).
+    tried (same open or same closed neighborhood, see verify._twin_labels).
     Swapping v and w is then an automorphism that fixes every vertex
     individualized so far, and so maps the subtree below v onto the one
     below w: both give the same least code.
@@ -130,7 +131,7 @@ def canonical_form(g: Graph) -> tuple[int, int]:
         return (0, 0)
     adj = g.adj
     colors = _wl_colors(n, adj, [len(a) for a in adj])
-    return (n, _canon_code(n, adj, colors))
+    return (n, _canon_code(adj, _twin_labels(g), colors))
 
 
 # ---------------------------------------------------------------------------
@@ -264,18 +265,7 @@ class ExactResult:
     arrowing_host_graph6: str | None = None
 
     def to_dict(self) -> dict:
-        return {
-            "target_graph6": self.target_graph6,
-            "r": self.r,
-            "status": self.status,
-            "value": self.value,
-            "lower": self.lower,
-            "upper": self.upper,
-            "emax": self.emax,
-            "nodes": self.nodes,
-            "unknown_hosts": list(self.unknown_hosts),
-            "arrowing_host_graph6": self.arrowing_host_graph6,
-        }
+        return asdict(self)
 
 
 def size_ramsey_exact(h: Graph, r: int, emax: int,

@@ -48,12 +48,11 @@ from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import CertificateValidationError, DomainError
-from .graphs import Graph, emit_graph6, is_connected, is_tree, parse_graph6
+from .graphs import Graph, emit_graph6, is_connected, parse_graph6
 
 __all__ = [
     "Embedding",
     "find_subgraph",
-    "fp_embed",
     "EdgeColoring",
     "ColoringPlan",
     "mono_copy",
@@ -266,33 +265,6 @@ def find_subgraph(host: Graph, target: Graph) -> Embedding | None:
     return _backtrack_embed(plans[0], host.adj, range(host.vertex_count))
 
 
-def fp_embed(host: Graph, tree: Graph) -> Embedding | None:
-    """Complete backtracking embedding of a tree, rooted at its lowest
-    leaf, breadth-first order, with degree pruning.  Exact: returns None
-    only when no copy exists."""
-    if not is_tree(tree):
-        raise DomainError("fp_embed requires a tree target")
-    nt = tree.vertex_count
-    if nt == 0:
-        return {}
-    if nt > host.vertex_count:
-        return None
-    leaves = [v for v in tree.vertices() if tree.degree(v) <= 1]
-    root = min(leaves) if leaves else 0
-    order = [root]
-    seen = {root}
-    i = 0
-    while i < len(order):
-        v = order[i]
-        i += 1
-        for w in sorted(tree.neighbors(v)):
-            if w not in seen:
-                seen.add(w)
-                order.append(w)
-    plans = _compile_plans(tree, [order])
-    return _backtrack_embed(plans[0], host.adj, range(host.vertex_count))
-
-
 # ---------------------------------------------------------------------------
 # edge colorings
 
@@ -394,10 +366,7 @@ def _mono_copy(coloring: EdgeColoring, target: Graph, plans: Sequence[_Plan]
     for c, edges in sorted(coloring.classes().items()):
         if len(edges) < et:
             continue
-        adj: dict[int, set[int]] = {}
-        for u, v in edges:
-            adj.setdefault(u, set()).add(v)
-            adj.setdefault(v, set()).add(u)
+        adj = _class_adjacency(edges)
         if len(adj) < nt:
             continue
         if max(len(s) for s in adj.values()) < dt:
@@ -405,19 +374,7 @@ def _mono_copy(coloring: EdgeColoring, target: Graph, plans: Sequence[_Plan]
         # a connected target lies inside one component of the class, so
         # search component by component; classes built to keep every
         # component small are dismissed here without any backtracking
-        seen: set[int] = set()
-        for start in sorted(adj):
-            if start in seen:
-                continue
-            comp = {start}
-            stack = [start]
-            while stack:
-                x = stack.pop()
-                for y in adj[x]:
-                    if y not in comp:
-                        comp.add(y)
-                        stack.append(y)
-            seen |= comp
+        for comp in _components(adj):
             if len(comp) < nt:
                 continue
             if sum(len(adj[v]) for v in comp) // 2 < et:
@@ -430,49 +387,39 @@ def _mono_copy(coloring: EdgeColoring, target: Graph, plans: Sequence[_Plan]
     return None
 
 
-class _UnionFind:
-    __slots__ = ("parent", "size")
+def _class_adjacency(edges: Iterable[tuple[int, int]]) -> dict[int, set[int]]:
+    """Adjacency of the graph the given edges span, keyed by its vertices."""
+    adj: dict[int, set[int]] = {}
+    for u, v in edges:
+        adj.setdefault(u, set()).add(v)
+        adj.setdefault(v, set()).add(u)
+    return adj
 
-    def __init__(self):
-        self.parent: dict[int, int] = {}
-        self.size: dict[int, int] = {}
 
-    def find(self, x: int) -> int:
-        root = x
-        parent = self.parent
-        while parent.setdefault(root, root) != root:
-            root = parent[root]
-        while parent[x] != root:
-            parent[x], x = root, parent[x]
-        return root
-
-    def union(self, a: int, b: int) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return
-        sa = self.size.get(ra, 1)
-        sb = self.size.get(rb, 1)
-        if sa < sb:
-            ra, rb = rb, ra
-            sa, sb = sb, sa
-        self.parent[rb] = ra
-        self.size[ra] = sa + sb
-
-    def max_size(self) -> int:
-        if not self.parent:
-            return 0
-        return max(self.size.get(r, 1) for r in self.parent if self.parent[r] == r)
+def _components(adj: Mapping[int, set[int]]) -> Iterator[set[int]]:
+    """Vertex sets of the components of adj, by increasing least vertex."""
+    seen: set[int] = set()
+    for start in sorted(adj):
+        if start in seen:
+            continue
+        comp = {start}
+        stack = [start]
+        while stack:
+            x = stack.pop()
+            for y in adj[x]:
+                if y not in comp:
+                    comp.add(y)
+                    stack.append(y)
+        seen |= comp
+        yield comp
 
 
 def max_mono_component(coloring: EdgeColoring) -> dict[int, int]:
     """Largest connected component size (in vertices) of each color in use.
 
     Unused colors are absent; their components are single vertices."""
-    per_color: dict[int, _UnionFind] = {}
-    for (u, v), c in coloring.colors.items():
-        uf = per_color.setdefault(c, _UnionFind())
-        uf.union(u, v)
-    return {c: uf.max_size() for c, uf in sorted(per_color.items())}
+    return {c: max(map(len, _components(_class_adjacency(edges))))
+            for c, edges in sorted(coloring.classes().items())}
 
 
 # ---------------------------------------------------------------------------

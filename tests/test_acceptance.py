@@ -30,7 +30,6 @@ from sizeramsey import (
     cross_check_bounds,
     embed_host,
     find_subgraph,
-    fp_embed,
     make_affine_plane,
     make_double_star,
     max_mono_component,
@@ -212,7 +211,7 @@ def test_criterion_07_expansion_implies_embedding():
 
     def embeds_all(g):
         for tree in trees:
-            emb = fp_embed(g, tree)
+            emb = find_subgraph(g, tree)
             assert emb is not None, (sorted(g.edges), tree.vertex_count)
             helpers.check_embedding(g, tree, emb)
 

@@ -29,7 +29,6 @@ from sizeramsey import (
     emit_graph6,
     enumerate_connected_graphs,
     find_subgraph,
-    fp_embed,
     make_double_star,
     min_degree_peel,
     mono_copy,
@@ -157,10 +156,9 @@ def _embeddings() -> dict[str, str]:
     for seed in range(3):
         host = sample_gnp(30, 0.15, seed)
         for name, tree in trees.items():
-            for fn in (find_subgraph, fp_embed):
-                emb = fn(host, tree)
-                out[f"{fn.__name__}/{seed}/{name}"] = json.dumps(
-                    sorted(emb.items()) if emb else emb)
+            emb = find_subgraph(host, tree)
+            out[f"find_subgraph/{seed}/{name}"] = json.dumps(
+                sorted(emb.items()) if emb else emb)
         coloring, _ = vizing_bucket_coloring(host, range(30), 3, 4)
         for name, tree in trees.items():
             out[f"mono_copy/{seed}/{name}"] = json.dumps(mono_copy(coloring, tree))
@@ -222,8 +220,8 @@ def _twins() -> dict[str, str]:
         with_copy, _ = _planted(tree, seed)
         free_host = helpers.tight_double_star_host(3, 2, 1, 0)
         for kind, host in (("copy", with_copy), ("free", free_host)):
-            emb = fp_embed(host, tree)
-            out[f"twins/fp_embed/{name}/{kind}"] = json.dumps(
+            emb = find_subgraph(host, tree)
+            out[f"twins/find_subgraph/tree/{name}/{kind}"] = json.dumps(
                 sorted(emb.items()) if emb else emb)
     for name, target in (("K13", star(3)), ("S22", make_double_star(2, 2))):
         for n in (5, 6):

@@ -7,6 +7,7 @@ an assert statement, which python -O strips.
 """
 
 import ast
+import importlib
 import json
 import os
 from fractions import Fraction
@@ -151,3 +152,14 @@ def test_no_assert_statements_in_the_package():
             found += [f"{name}:{node.lineno}" for node in ast.walk(tree)
                       if isinstance(node, ast.Assert)]
     assert found == []
+
+
+def test_no_public_name_is_exported_by_two_modules():
+    root = os.path.dirname(sizeramsey.__file__)
+    owners: dict[str, list[str]] = {}
+    for name in sorted(os.listdir(root)):
+        if name.endswith(".py") and not name.startswith("__"):
+            module = importlib.import_module(f"sizeramsey.{name[:-3]}")
+            for public in getattr(module, "__all__", ()):
+                owners.setdefault(public, []).append(name)
+    assert {k: v for k, v in owners.items() if len(v) > 1} == {}
