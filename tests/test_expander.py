@@ -2,6 +2,7 @@
 
 import math
 import json
+import random
 
 import pytest
 
@@ -14,9 +15,11 @@ from sizeramsey import (
     check_local_sparsity,
     complete_graph,
     cycle_graph,
+    find_subgraph,
     min_degree_peel,
     path_graph,
     sample_gnp,
+    star,
 )
 
 import helpers
@@ -128,6 +131,26 @@ def test_min_degree_peel():
     # a huge threshold destroys the graph
     empty, kept3 = min_degree_peel(g, 99)
     assert kept3 == () and empty.vertex_count == 0
+
+
+def test_fp_embed_exactness_against_oracle():
+    """The trial's tree search (find_subgraph, which replaced the old
+    fp_embed) is exact on the trees it hunts, and the trial refuses a
+    target that is not a tree."""
+    rng = random.Random(55)
+    trees = [Graph(1), path_graph(2), path_graph(3), path_graph(5),
+             star(3), Graph(7, [(0, 1), (1, 2), (2, 3), (1, 4), (4, 5), (4, 6)])]
+    for _ in range(150):
+        host = helpers.random_gnp(rng, rng.randint(1, 7), rng.random())
+        t = rng.choice(trees)
+        emb = find_subgraph(host, t)
+        truth = helpers.has_injection(helpers.adjacency_matrix(host), t)
+        assert (emb is not None) == truth
+        if emb is not None:
+            helpers.check_embedding(host, t, emb)
+    params = ExpanderParams.from_constants(1.0, 40.0, 2, 6)
+    with pytest.raises(DomainError):
+        appendix_trial(params, cycle_graph(3), seed=0)
 
 
 def test_appendix_trial_deterministic():
