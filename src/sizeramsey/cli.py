@@ -122,13 +122,17 @@ def _read_text(path: str) -> str:
         raise DomainError(f"cannot read {path!r}: {exc}") from None
 
 
-def _emit_json(doc: dict, path: str | None) -> None:
-    text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
+def _write_text(text: str, path: str | None) -> None:
+    """Write text to the file at path, or to stdout for None or '-'."""
     if path is None or path == "-":
         sys.stdout.write(text)
     else:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
+
+
+def _emit_json(doc: dict, path: str | None) -> None:
+    _write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n", path)
 
 
 # ---------------------------------------------------------------------------
@@ -226,12 +230,7 @@ def _cmd_certify(args) -> int:
                    max_retries=args.max_retries, case3_split=args.case3_split)
     from .verify import certificate_to_json
 
-    text = certificate_to_json(cert)
-    if args.out is not None:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write_text(certificate_to_json(cert), args.out)
     print(f"strategy: {cert.theorem_tag}", file=sys.stderr)
     print(f"host: {cert.host.vertex_count} vertices, {cert.host.edge_count} edges "
           f"(bound {cert.claimed_bound})", file=sys.stderr)
@@ -266,11 +265,12 @@ def _cmd_embed(args) -> int:
         host = parse_graph_spec(args.host, args.format)
     else:
         host = embed_host(tree, r)
-    rng = random.Random(args.seed)
-    colors = {e: rng.randint(1, r) for e in host.sorted_edges()}
     from .verify import EdgeColoring
 
-    coloring = EdgeColoring(host, r, colors)
+    coloring = EdgeColoring(host, r)  # rejects r < 1 before any draw
+    rng = random.Random(args.seed)
+    for u, v in host.sorted_edges():
+        coloring.set(u, v, rng.randint(1, r))
     color, mapping = ramsey_embed_test(coloring, tree)
     print(f"host: {host.vertex_count} vertices, {host.edge_count} edges")
     print(f"monochromatic copy in color {color}")
@@ -362,12 +362,7 @@ def _cmd_simulate(args) -> int:
     frac = good / len(seeds)
     print(f"verified {good}/{len(seeds)} trials ({frac:.1%})")
     if args.json_out is not None:
-        text = "\n".join(lines) + "\n"
-        if args.json_out == "-":
-            sys.stdout.write(text)
-        else:
-            with open(args.json_out, "w", encoding="utf-8") as fh:
-                fh.write(text)
+        _write_text("\n".join(lines) + "\n", args.json_out)
     return 0 if frac >= 0.9 else 1
 
 
@@ -426,7 +421,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-retries", type=int, default=1000)
     p.add_argument("--case3-split", choices=["3.1", "3.2"], default=None)
     p.add_argument("--out", default=None, metavar="FILE",
-                   help="write the certificate JSON here instead of stdout")
+                   help="write the certificate JSON to FILE instead of stdout "
+                        "('-' for stdout)")
     common(p)
     p.set_defaults(func=_cmd_certify)
 

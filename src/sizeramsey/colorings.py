@@ -4,7 +4,10 @@ Each constructor colors a host graph whose edge count is below the
 threshold of the corresponding bound, in a way that provably leaves no
 monochromatic copy of the target.  Constructions never self-certify:
 `certify` runs the exact verifier over the finished coloring and only a
-verifier pass yields the verdict "verified".
+verifier pass yields the verdict "verified".  The target-free fallback
+lives in `certify` too, for every strategy: when the verifier finds a
+monochromatic copy, an exhaustive target-free search recolors the host
+with the same palette and the recoloring is verified in its place.
 
 Every edge threshold is written once, in the `_*_bound` functions of the
 "edge thresholds" section below; each construction's precondition,
@@ -21,6 +24,7 @@ from __future__ import annotations
 import random
 import warnings
 from collections import defaultdict
+from dataclasses import replace
 from fractions import Fraction
 from math import comb
 
@@ -50,7 +54,6 @@ from .verify import (
     ColoringPlan,
     EdgeColoring,
     backtrack_edge_coloring,
-    mono_copy,
     search_h_free_coloring,
     verify_certificate,
 )
@@ -660,39 +663,6 @@ def chi3_coloring(g: Graph, h: Graph, r: int, seed: int = 0,
 # bipartite constructions
 
 
-def _self_verify_or_fallback(g: Graph, coloring: EdgeColoring,
-                             plan: ColoringPlan, target: Graph | None,
-                             palette: int) -> EdgeColoring:
-    """Check the finished coloring against the target and fall back to an
-    exhaustive target-free coloring if a monochromatic copy slipped in.
-
-    The primary constructions have narrow unsound regimes.  In a bucket
-    color every X vertex has degree at most k = delta2 - 1, so each vertex
-    of H of degree above k must map into Y; when no two of them are
-    adjacent, all their edges can run between Y and X inside one bucket
-    color.  For example, weakbip with r = 2 on the host Ho}?pRW leaves a
-    copy of the 8-vertex tree GsOGGG in color 1: the tree's two degree-3
-    vertices are at distance 3 and k = 2.  Certificates stay sound
-    because this check runs before any verdict is claimed.
-    """
-    if target is None:
-        return coloring
-    hit = mono_copy(coloring, target)
-    if hit is None:
-        return coloring
-    plan.parameters["primary_witness_color"] = hit[0]
-    status, colors, nodes = search_h_free_coloring(
-        g, target, palette, node_budget=3_000_000
-    )
-    if status == "free" and colors is not None:
-        plan.parameters["fallback"] = "h_free_search"
-        return EdgeColoring(g, palette, colors)
-    raise ConstructionError(
-        f"construction left a monochromatic copy (color {hit[0]}) and the "
-        f"exhaustive fallback ended with status {status!r} after {nodes} nodes"
-    )
-
-
 def weakbip_coloring(g: Graph, prof: BipartiteProfile, r: int, *,
                      target: Graph | None = None
                      ) -> tuple[EdgeColoring, ColoringPlan]:
@@ -702,7 +672,17 @@ def weakbip_coloring(g: Graph, prof: BipartiteProfile, r: int, *,
 
     Low-degree vertices X get the bucket lemma over all their edges with
     width delta2 - 1; the few remaining vertices Y span few edges and get a
-    fresh palette under the component bound n1 + n2.
+    fresh palette under the component bound n1 + n2.  `target` only feeds
+    the Y-part search (see _color_small_part).
+
+    The coloring is returned unverified, and it has a narrow unsound
+    regime.  In a bucket color every X vertex has degree at most
+    k = delta2 - 1, so each vertex of H of degree above k must map into Y;
+    when no two of them are adjacent, all their edges can run between Y
+    and X inside one bucket color.  For example, with r = 2 on the host
+    Ho}?pRW this leaves a copy of the 8-vertex tree GsOGGG in color 1: the
+    tree's two degree-3 vertices are at distance 3 and k = 2.  `certify`
+    finds such a copy and falls back to a target-free search.
     """
     if r < 2:
         raise DomainError(f"weakbip coloring needs r >= 2, got {r}")
@@ -716,14 +696,12 @@ def weakbip_coloring(g: Graph, prof: BipartiteProfile, r: int, *,
         g, y, n_bound=p.n1 + p.n2, first_color=r + 1, num_colors=r, target=target
     )
     colors.update(y_colors)
-    coloring = EdgeColoring(g, 2 * r, colors)
     plan = ColoringPlan(
         strategy="weakbip",
         parts={"X": tuple(sorted(x)), "Y": tuple(y)},
         parameters={"k": k, "r": r, "y_method": y_method},
     )
-    coloring = _self_verify_or_fallback(g, coloring, plan, target, 2 * r)
-    return coloring, plan
+    return EdgeColoring(g, 2 * r, colors), plan
 
 
 def _chunk_partition(items: list[int], parts: int) -> list[list[int]]:
@@ -748,7 +726,10 @@ def gen2_coloring(g: Graph, prof: BipartiteProfile, r: int, seed: int = 0,
     connected monochromatic subgraph stays inside a single block.
 
     case3_split forces the subcase ("3.1" or "3.2") for testing; the
-    natural dispatch picks 3.1 whenever 64 r^4 delta1^2 >= n1.
+    natural dispatch picks 3.1 whenever 64 r^4 delta1^2 >= n1.  `target`
+    only feeds the Y-part search (see _color_small_part).  The coloring is
+    returned unverified; like weakbip_coloring's it may leave a copy of H,
+    which `certify` finds and recolors away.
     """
     if r < 2:
         raise DomainError(f"gen2 coloring needs r >= 2, got {r}")
@@ -912,11 +893,9 @@ def gen2_coloring(g: Graph, prof: BipartiteProfile, r: int, seed: int = 0,
             for i in range(2 * r):
                 parts[f"X1_{i}"] = tuple(sorted(v for v in x1 if ax[v] == i))
                 parts[f"Y1_{i}"] = tuple(sorted(v for v in y1 if ay[v] == i))
-    coloring = EdgeColoring(g, 8 * r, colors)
     plan = ColoringPlan(strategy="gen2", parts=parts, parameters=params,
                         retries=retries)
-    coloring = _self_verify_or_fallback(g, coloring, plan, target, 8 * r)
-    return coloring, plan
+    return EdgeColoring(g, 8 * r, colors), plan
 
 # ---------------------------------------------------------------------------
 # double stars
@@ -1070,15 +1049,12 @@ def lower_bound_value(h: Graph, r: int) -> tuple[Fraction, str]:
 # certification entry points
 
 
-STRATEGIES = (
-    "beck",
-    "weakbip",
-    "gen2",
-    "double_star",
-    "double_star_2col",
-    "chi3",
-    "affine",
-)
+# the palette of each strategy's certificates as a multiple of the r its
+# bound is stated for; the beck and double_star_2col bounds ignore r
+_PALETTE_FACTOR = {"beck": 1, "weakbip": 2, "gen2": 8, "double_star": 1,
+                   "double_star_2col": 1, "chi3": 3, "affine": 1}
+
+STRATEGIES = tuple(_PALETTE_FACTOR)
 
 
 def strategy_bound(strategy: str, target: Graph, r: int) -> Fraction:
@@ -1106,12 +1082,6 @@ def strategy_bound(strategy: str, target: Graph, r: int) -> Fraction:
     raise DomainError(f"unknown strategy {strategy!r}; choose from {STRATEGIES}")
 
 
-# the palette of each strategy's certificates as a multiple of the r its
-# bound is stated for; the beck and double_star_2col bounds ignore r
-_PALETTE_FACTOR = {"beck": 1, "weakbip": 2, "gen2": 8, "double_star": 1,
-                   "double_star_2col": 1, "chi3": 3, "affine": 1}
-
-
 def certificate_bound(theorem_tag: str, target: Graph, palette: int
                       ) -> Fraction | None:
     """The bound a certificate of the tagged strategy claims for target
@@ -1135,48 +1105,61 @@ def certify(strategy: str, host: Graph, target: Graph, r: int, seed: int = 0,
 
     The returned certificate's verdict is written only by the verifier;
     "verified" therefore always means an exact search found no
-    monochromatic copy of the target.
+    monochromatic copy of the target.  If the construction left a copy,
+    the host is recolored by an exhaustive target-free search with the
+    same palette, the plan records the copy's color as
+    primary_witness_color and "h_free_search" as fallback, and the
+    recoloring is verified instead.
     """
+    if r < 1:
+        raise DomainError(f"need r >= 1, got {r}")
     if not is_connected(target) or target.edge_count == 0:
         raise DomainError("target must be connected with at least one edge")
     if strategy == "beck":
         coloring, plan = beck_coloring(host, profile(target))
-        palette = 2
     elif strategy == "double_star_2col":
         coloring, plan = double_star_2coloring(host, *_double_star_shape(target))
-        palette = 2
     elif strategy == "double_star":
         coloring, plan = double_star_coloring(host, *_double_star_shape(target), r)
-        palette = r
     elif strategy == "chi3":
         coloring, plan = chi3_coloring(host, target, r, seed, max_retries)
-        palette = 3 * r
     elif strategy == "weakbip":
         coloring, plan = weakbip_coloring(host, profile(target), r, target=target)
-        palette = 2 * r
     elif strategy == "gen2":
         coloring, plan = gen2_coloring(host, profile(target), r, seed,
                                        max_retries, target=target,
                                        case3_split=case3_split)
-        palette = 8 * r
     elif strategy == "affine":
         if host.edge_count != comb(host.vertex_count, 2):
             raise DomainError("the affine strategy requires a complete host")
         coloring, plan = affine_component_coloring(
             host.vertex_count, target.vertex_count, r
         )
-        palette = r
     else:
         raise DomainError(f"unknown strategy {strategy!r}; choose from {STRATEGIES}")
-    bound = strategy_bound(strategy, target, r)
-    cert = Certificate(
+    cert = verify_certificate(Certificate(
         host=coloring.host,
         target=target,
-        r=palette,
+        r=coloring.r,
         coloring=coloring,
         plan=plan,
-        claimed_bound=bound,
+        claimed_bound=strategy_bound(strategy, target, r),
         theorem_tag=strategy,
         seed=seed,
+    ))
+    if cert.witness is None or cert.witness["kind"] != "mono_copy":
+        return cert
+    color = cert.witness["color"]
+    plan.parameters["primary_witness_color"] = color
+    status, colors, nodes = search_h_free_coloring(
+        cert.host, target, cert.r, node_budget=3_000_000
     )
-    return verify_certificate(cert)
+    if status != "free" or colors is None:
+        raise ConstructionError(
+            f"construction left a monochromatic copy (color {color}) and the "
+            f"exhaustive fallback ended with status {status!r} after {nodes} nodes"
+        )
+    plan.parameters["fallback"] = "h_free_search"
+    return verify_certificate(
+        replace(cert, coloring=EdgeColoring(cert.host, cert.r, colors))
+    )

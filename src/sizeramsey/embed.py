@@ -130,13 +130,13 @@ def greedy_tree_embed(host: Graph, tree: Graph) -> dict[int, int] | None:
 def upper_bound_value(t: Graph, r: int) -> int:
     """Edge count (2 r n1 + 1)(2 r n2 + 1) of the complete bipartite host
     that forces a monochromatic copy of the tree t under any r-coloring."""
-    if r < 1:
-        raise DomainError(f"need r >= 1, got {r}")
     a, b = embed_host_sides(t, r)
     return a * b
 
 
 def embed_host_sides(t: Graph, r: int) -> tuple[int, int]:
+    if r < 1:
+        raise DomainError(f"need r >= 1, got {r}")
     if not is_tree(t):
         raise DomainError("the upper bound host is defined for trees")
     p = profile(t)

@@ -123,6 +123,15 @@ def test_certify_stdout_is_certificate_json(capsys):
     assert doc["theorem_tag"] == "double_star_2col"
 
 
+def test_certify_out_dash_is_stdout(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    rc = main(["certify", "--strategy", "beck", "--target", "biclique:2,3",
+               "-r", "2", "--out", "-"])
+    assert rc == 0
+    assert json.loads(capsys.readouterr().out)["theorem_tag"] == "beck"
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_verify_flags_refuted_certificate(capsys, tmp_path):
     # a one-color K5 plainly contains the path, so verification must refute
     host = complete_graph(5)
@@ -275,6 +284,15 @@ def test_usage_errors(capsys):
     assert main(["certify", "--strategy", "nope", "--target", "path:4"]) == 2
     assert main(["--help"]) == 0
     capsys.readouterr()
+
+
+def test_palette_below_one_is_exit_2(capsys):
+    for argv in (["embed", "--tree", "path:3", "-r", "0"],
+                 ["embed", "--tree", "path:3", "-r", "0", "--host", "biclique:3,3"],
+                 ["certify", "--strategy", "beck", "--target", "biclique:2,3",
+                  "-r", "0"]):
+        assert main(argv) == 2, argv
+        assert capsys.readouterr().err.startswith("error:"), argv
 
 
 def test_unreadable_inputs_are_exit_2(capsys, tmp_path):

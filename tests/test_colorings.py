@@ -357,6 +357,9 @@ def test_certify_runs_every_strategy():
             assert cert.verdict == "verified", (strategy, kwargs)
             assert cert.plan.strategy == strategy
             assert cert.host.edge_count < cert.claimed_bound
+            if strategy not in ("weakbip", "gen2"):
+                # the proof-backed constructions must verify unaided
+                assert "fallback" not in cert.plan.parameters, (strategy, kwargs)
 
 
 def test_certify_is_seed_deterministic():
@@ -378,17 +381,43 @@ def test_certify_rejects_bad_inputs():
         certify("double_star", path_graph(3), cycle_graph(4), 3)
     with pytest.raises(DomainError):
         certify("affine", path_graph(5), path_graph(5), 3)  # host not complete
+    with pytest.raises(DomainError):
+        certify("beck", path_graph(3), path_graph(4), 0)
 
 
 def test_weakbip_fallback_replaces_a_coloring_with_a_copy():
     # the two degree-3 vertices of the tree GsOGGG are at distance 3, so a
     # copy fits in one bucket color with both of them in Y (see
-    # colorings._self_verify_or_fallback); the exhaustive fallback recolors
-    cert = certify("weakbip", parse_graph6("Ho}?pRW"), parse_graph6("GsOGGG"), 2,
-                   seed=0)
+    # weakbip_coloring); the construction alone leaves that copy, and
+    # certify's exhaustive fallback recolors the host
+    host, tree = parse_graph6("Ho}?pRW"), parse_graph6("GsOGGG")
+    coloring, plan = weakbip_coloring(host, profile(tree), 2, target=tree)
+    hit = mono_copy(coloring, tree)
+    assert hit is not None and hit[0] == 1
+    assert "fallback" not in plan.parameters
+    cert = certify("weakbip", host, tree, 2, seed=0)
     assert cert.verdict == "verified"
+    assert mono_copy(cert.coloring, tree) is None
     assert cert.plan.parameters["fallback"] == "h_free_search"
     assert cert.plan.parameters["primary_witness_color"] == 1
+
+
+def test_certify_verifies_a_construction_once(monkeypatch):
+    # every copy search, through mono_copy or any module's own reference
+    # to it, ends in verify._mono_copy
+    import sizeramsey.verify as verify_module
+
+    calls = []
+    real = verify_module._mono_copy
+    monkeypatch.setattr(verify_module, "_mono_copy",
+                        lambda *args: calls.append(args) or real(*args))
+    rng = random.Random(0xFEED)
+    for strategy in ("weakbip", "gen2"):
+        calls.clear()
+        cert = helpers.run_instance(helpers.coloring_instance(strategy, rng))
+        assert cert.verdict == "verified"
+        assert "fallback" not in cert.plan.parameters
+        assert len(calls) == 1, strategy
 
 
 def test_certify_affine_records_component_bound():

@@ -103,6 +103,9 @@ def test_upper_bound_value():
     assert host.vertex_count == 18 and host.edge_count == 81
     with pytest.raises(DomainError):
         upper_bound_value(cycle_graph(4), 2)
+    for fn in (upper_bound_value, embed_host_sides, embed_host):
+        with pytest.raises(DomainError):
+            fn(path_graph(3), 0)
 
 
 def test_ramsey_embed_test_random_colorings():

@@ -154,6 +154,29 @@ def test_no_assert_statements_in_the_package():
     assert found == []
 
 
+def test_no_unused_imports_in_the_package():
+    # every name a module imports must be read somewhere in it;
+    # __init__.py imports only to re-export
+    root = os.path.dirname(sizeramsey.__file__)
+    unused = []
+    for name in sorted(os.listdir(root)):
+        if name.endswith(".py") and name != "__init__.py":
+            path = os.path.join(root, name)
+            with open(path, encoding="utf-8") as fh:
+                tree = ast.parse(fh.read(), filename=path)
+            imported = {}
+            for node in ast.walk(tree):
+                if isinstance(node, (ast.Import, ast.ImportFrom)):
+                    for alias in node.names:
+                        bound = alias.asname or alias.name.split(".")[0]
+                        if bound != "annotations":
+                            imported[bound] = node.lineno
+            used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+            unused += [f"{name}:{line} {bound}" for bound, line in sorted(imported.items())
+                       if bound not in used]
+    assert unused == []
+
+
 def test_no_public_name_is_exported_by_two_modules():
     root = os.path.dirname(sizeramsey.__file__)
     owners: dict[str, list[str]] = {}
