@@ -142,6 +142,8 @@ def _emit_json(doc: dict, path: str | None) -> None:
 def _cmd_analyze(args) -> int:
     g = parse_graph_spec(args.target, args.format)
     r = args.r
+    if r < 1:  # before any output, whether or not a bound is computed
+        raise DomainError(f"need r >= 1, got {r}")
     doc: dict = {
         "vertices": g.vertex_count,
         "edges": g.edge_count,
@@ -290,8 +292,7 @@ def _cmd_embed(args) -> int:
 def _cmd_exact(args) -> int:
     target = parse_graph_spec(args.target, args.format)
     if args.cross_check:
-        report = cross_check_bounds(target, args.r, args.emax, args.vmax,
-                                    args.budget)
+        report = cross_check_bounds(target, args.r, args.emax, args.budget)
         exact = report["exact"]
         lb = report["lower_bound"]
         lb_val = Fraction(lb["num"], lb["den"])
@@ -309,7 +310,7 @@ def _cmd_exact(args) -> int:
         if report["violations"]:
             return 1
         return 0 if exact["status"] == "exact" else 3
-    res = size_ramsey_exact(target, args.r, args.emax, args.vmax, args.budget)
+    res = size_ramsey_exact(target, args.r, args.emax, args.budget)
     if res.status == "exact":
         print(f"exact value: {res.value} (search nodes: {res.nodes})")
         print(f"minimal arrowing host: {res.arrowing_host_graph6}")
@@ -445,7 +446,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--target", required=True)
     p.add_argument("-r", type=int, default=2)
     p.add_argument("--emax", type=int, default=8)
-    p.add_argument("--vmax", type=int, default=None)
     p.add_argument("--budget", type=int, default=2_000_000,
                    help="search nodes per host")
     p.add_argument("--cross-check", action="store_true",

@@ -11,7 +11,8 @@ with the same palette and the recoloring is verified in its place.
 
 Every edge threshold is written once, in the `_*_bound` functions of the
 "edge thresholds" section below; each construction's precondition,
-`strategy_bound` and `lower_bound_value` all call them.
+`strategy_bound`, `lower_bound_value` and the exact search in `oracle`
+all call them.
 
 Randomized steps are Las Vegas: partitions are resampled under a seeded
 RNG until the exact success condition holds, so a returned coloring is
@@ -232,6 +233,13 @@ def _proper_coloring(edges: list[tuple[int, int]], palette: int) -> _ProperState
 # strategy_bound and lower_bound_value all read them from here
 
 _STAR_TARGET = "target is a star; the star bound is exact instead"
+
+
+def _pigeonhole_bound(m: int, r: int) -> int:
+    """r(m - 1) + 1 for a target with m edges: a host with fewer edges
+    splits into r colors of at most m - 1 edges each, none holding the
+    target.  Exact for the star with m edges."""
+    return r * (m - 1) + 1
 
 
 def _beck_bound(b: int) -> Fraction:
@@ -1022,7 +1030,7 @@ def lower_bound_value(h: Graph, r: int) -> tuple[Fraction, str]:
     m = h.edge_count
     bip = is_bipartite(h)
     if bip and is_star(h):
-        return Fraction(r * (m - 1) + 1), "star_exact"
+        return Fraction(_pigeonhole_bound(m, r)), "star_exact"
     cands: list[tuple[Fraction, str]] = [(Fraction(m), "trivial_edges")]
     if r >= 6:
         cands.append((Fraction(r * r * m, 64), "nonstar_edges"))

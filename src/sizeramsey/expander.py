@@ -6,6 +6,12 @@ class at half the measured average degree over 2r, and then looks for the
 tree by complete backtracking.  Every claim in the report is re-checked
 against the actual coloring, so `verified` never rests on the asymptotic
 argument that motivates the parameters.
+
+The argument's two set properties, local sparsity of the host and
+expansion of the core (Friedman and Pippenger, "Expanding graphs contain
+all small trees", 1987), go through one loop that stops at the first
+failing set or at the budget.  Each report says whether its sets were
+all of them, a random sample, or none because the property is vacuous.
 """
 
 from __future__ import annotations
@@ -106,23 +112,38 @@ class SetCheckReport:
     checked: int
 
 
-def _connected_sets(g: Graph, k_max: int, budget: int):
+# the sampled expansion check draws this many random sets
+_SAMPLES = 2000
+
+
+def _first_failure(sets, fails, budget: int, exhaustive: bool) -> SetCheckReport:
+    """Check the sets in turn until one fails or the budget runs out.
+
+    checked counts the sets actually examined; the budget stops the loop
+    only when another set remains, so a family of exactly budget sets
+    still passes.  exhaustive says whether sets is every relevant set.
+    """
+    checked = 0
+    for s in sets:
+        if checked == budget:
+            return SetCheckReport("budget", False, None, checked)
+        checked += 1
+        if fails(s):
+            return SetCheckReport("fail", exhaustive, tuple(sorted(s)), checked)
+    return SetCheckReport("pass", exhaustive, None, checked)
+
+
+def _connected_sets(g: Graph, k_max: int):
     """Yield every connected vertex set of size <= k_max exactly once.
 
     Standard rooted enumeration: sets are grown only by neighbors that are
-    larger than the root, each extension considered once.  Raises
-    StopIteration naturally; budget overruns yield the sentinel None.
+    larger than the root, each extension considered once.
     """
-    count = 0
     for root in range(g.vertex_count):
         stack = [(frozenset([root]),
                   tuple(sorted(w for w in g.neighbors(root) if w > root)))]
         while stack:
             s, ext = stack.pop()
-            count += 1
-            if count > budget:
-                yield None
-                return
             yield s
             for i, w in enumerate(ext):
                 grown = s | {w}
@@ -136,109 +157,65 @@ def _connected_sets(g: Graph, k_max: int, budget: int):
 
 
 def check_local_sparsity(g: Graph, delta: float, k_max: int,
-                         mode: str = "exact", budget: int = 200_000,
-                         samples: int = 2000, seed: int = 0) -> SetCheckReport:
+                         budget: int = 200_000) -> SetCheckReport:
     """Check that every vertex set S with |S| <= k_max spans at most
     (1 + delta)|S| edges.
 
     A minimal violating set is connected (edge counts add over components),
-    so the exact mode enumerates connected sets only.  k_max <= 0 makes
-    the property vacuous.  Sampled mode draws random connected sets and
-    its pass is explicitly non-exhaustive.
+    so only connected sets are enumerated, all of them up to the budget.
+    k_max <= 0 makes the property vacuous.
     """
     if delta < 0:
         raise DomainError(f"delta must be >= 0, got {delta}")
     if k_max <= 0:
         return SetCheckReport("vacuous", True, None, 0)
 
-    def spans_too_much(s) -> bool:
-        members = set(s)
+    def spans_too_much(members) -> bool:
         e = sum(1 for u in members for w in g.neighbors(u)
                 if w in members and w > u)
         return e > (1 + delta) * len(members)
 
-    if mode == "exact":
-        checked = 0
-        for s in _connected_sets(g, k_max, budget):
-            if s is None:
-                return SetCheckReport("budget", False, None, checked)
-            checked += 1
-            if spans_too_much(s):
-                return SetCheckReport("fail", True, tuple(sorted(s)), checked)
-        return SetCheckReport("pass", True, None, checked)
-    if mode == "sampled":
-        rng = random.Random(seed)
-        checked = 0
-        for _ in range(samples):
-            if g.vertex_count == 0:
-                break
-            size = rng.randint(1, k_max)
-            v = rng.randrange(g.vertex_count)
-            s = {v}
-            frontier = set(g.neighbors(v))
-            while len(s) < size and frontier:
-                w = rng.choice(sorted(frontier))
-                s.add(w)
-                frontier |= set(g.neighbors(w))
-                frontier -= s
-            checked += 1
-            if spans_too_much(s):
-                return SetCheckReport("fail", False, tuple(sorted(s)), checked)
-        return SetCheckReport("pass", False, None, checked)
-    raise DomainError(f"mode must be 'exact' or 'sampled', got {mode!r}")
+    return _first_failure(_connected_sets(g, k_max), spans_too_much, budget,
+                          exhaustive=True)
 
 
 def check_expansion(g: Graph, factor: int, max_set: int,
-                    mode: str = "auto", budget: int = 500_000,
-                    samples: int = 2000, seed: int = 0) -> SetCheckReport:
+                    budget: int = 500_000, seed: int = 0) -> SetCheckReport:
     """Check that every nonempty X with |X| <= max_set has at least
     factor * |X| neighbors outside X.
 
-    The empty graph fails outright: it expands nothing.  Exact mode
-    enumerates all subsets up to the budget; auto picks exact for hosts
-    of at most 24 vertices.
+    The empty graph fails outright: it expands nothing.  Hosts of at most
+    24 vertices have every subset enumerated, up to the budget; larger
+    hosts get 2000 random subsets drawn from seed, and their pass is
+    explicitly non-exhaustive.
     """
     if g.vertex_count == 0:
         return SetCheckReport("fail", True, (), 0)
     if factor < 0 or max_set < 0:
         raise DomainError("factor and max_set must be nonnegative")
-    limit = min(max_set, g.vertex_count)
+    n = g.vertex_count
+    limit = min(max_set, n)
     if limit == 0:
         return SetCheckReport("vacuous", True, None, 0)
-    if mode == "auto":
-        mode = "exact" if g.vertex_count <= 24 else "sampled"
 
-    def expands(xs) -> tuple[bool, int]:
+    def expands_too_little(xs) -> bool:
         members = set(xs)
         boundary = set()
         for u in members:
             boundary.update(g.neighbors(u))
         boundary -= members
-        return len(boundary) >= factor * len(members), len(boundary)
+        return len(boundary) < factor * len(members)
 
-    if mode == "exact":
-        checked = 0
-        for size in range(1, limit + 1):
-            for xs in combinations(range(g.vertex_count), size):
-                checked += 1
-                if checked > budget:
-                    return SetCheckReport("budget", False, None, checked)
-                ok, _ = expands(xs)
-                if not ok:
-                    return SetCheckReport("fail", True, tuple(xs), checked)
-        return SetCheckReport("pass", True, None, checked)
-    if mode == "sampled":
+    exhaustive = n <= 24
+    if exhaustive:
+        sets = (xs for size in range(1, limit + 1)
+                for xs in combinations(range(n), size))
+    else:
         rng = random.Random(seed)
-        checked = 0
-        for _ in range(samples):
-            size = rng.randint(1, limit)
-            xs = tuple(sorted(rng.sample(range(g.vertex_count), size)))
-            checked += 1
-            ok, _ = expands(xs)
-            if not ok:
-                return SetCheckReport("fail", False, xs, checked)
-        return SetCheckReport("pass", False, None, checked)
-    raise DomainError(f"mode must be 'auto', 'exact', or 'sampled', got {mode!r}")
+        # the size is drawn before the members, as trial reports depend on it
+        sets = (rng.sample(range(n), rng.randint(1, limit))
+                for _ in range(_SAMPLES))
+    return _first_failure(sets, expands_too_little, budget, exhaustive)
 
 
 def min_degree_peel(g: Graph, threshold) -> tuple[Graph, tuple[int, ...]]:
@@ -304,7 +281,7 @@ def appendix_trial(params: ExpanderParams, tree: Graph, seed: int,
     r = params.r
     g = sample_gnp(params.N, params.p, seed)
     k_max = math.floor(params.delta * params.N)
-    spars = check_local_sparsity(g, params.delta, k_max, seed=seed)
+    spars = check_local_sparsity(g, params.delta, k_max)
     # a stream distinct from the sampler's but still a pure function of seed
     rng = random.Random(seed ^ 0x9E3779B9)
     edges = g.sorted_edges()

@@ -11,9 +11,13 @@ one child per orbit of the parent's twin swaps: every skipped child is
 isomorphic to a kept child of the same parent made before it, so the
 first-seen representative of every class, and with it every level, is
 that of trying every child (see _grow_levels).  And the exact search
-starts at r(e(H)-1)+1 edges: a host with at most r(e(H)-1) edges splits
-into r colors of fewer than e(H) edges each, so none of its colors holds
-a copy of H and it cannot arrow.
+starts at r(e(H)-1)+1 edges (colorings._pigeonhole_bound): a host with at
+most r(e(H)-1) edges splits into r colors of fewer than e(H) edges each,
+so none of its colors holds a copy of H and it cannot arrow.
+
+The exact search tries every connected host up to emax edges, whatever
+its vertex count, so a reported lower end of a bracket is proved; only
+enumerate_connected_graphs takes a vertex cap.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass, field
 
-from .colorings import lower_bound_value
+from .colorings import _pigeonhole_bound, lower_bound_value
 from .embed import upper_bound_value
 from .errors import DomainError
 from .graphs import Graph, emit_graph6, is_connected, is_tree
@@ -269,16 +273,14 @@ class ExactResult:
 
 
 def size_ramsey_exact(h: Graph, r: int, emax: int,
-                      vmax: int | None = None,
                       node_budget: int | None = 2_000_000) -> ExactResult:
     """Smallest edge count of a host arrowing h with r colors, by complete
-    enumeration of connected hosts (vertex counts never exceed e+1, or
-    vmax when given).
+    enumeration of connected hosts (vertex counts never exceed e+1).
 
     Hosts with at most r(e(h)-1) edges are ruled out by proof, not search:
     split their edges into r colors of at most e(h)-1 edges each and no
-    color holds a copy of h.  The search starts at max(e(h), r(e(h)-1)+1)
-    edges; the smaller levels are still grown, as parents of the next.
+    color holds a copy of h.  The search starts at r(e(h)-1)+1 edges; the
+    smaller levels are still grown, as parents of the next.
     The target's anchored plans are compiled once per call, and every host
     goes through the search and the re-check of a free witness that
     arrows runs, over those plans.
@@ -300,12 +302,12 @@ def size_ramsey_exact(h: Graph, r: int, emax: int,
         # search for a copy, so the re-check compiles nothing either
         return _mono_copy(coloring, target, plans[:1])
 
-    start = max(h.edge_count, r * (h.edge_count - 1) + 1)
+    start = _pigeonhole_bound(h.edge_count, r)
     total_nodes = 0
     unknown: list[tuple[int, str]] = []
     found_e: int | None = None
     found_host: str | None = None
-    for e, graphs in _grow_levels(emax, vmax):
+    for e, graphs in _grow_levels(emax, None):
         if e < start:
             continue
         for g in graphs:
@@ -343,7 +345,6 @@ def size_ramsey_exact(h: Graph, r: int, emax: int,
 
 
 def cross_check_bounds(h: Graph, r: int, emax: int,
-                       vmax: int | None = None,
                        node_budget: int | None = 2_000_000) -> dict:
     """Compare the package's bounds for h against the brute-force value.
 
@@ -353,7 +354,7 @@ def cross_check_bounds(h: Graph, r: int, emax: int,
     """
     lower, tag = lower_bound_value(h, r)
     upper = upper_bound_value(h, r) if is_tree(h) else None
-    exact = size_ramsey_exact(h, r, emax, vmax, node_budget)
+    exact = size_ramsey_exact(h, r, emax, node_budget)
     violations: list[str] = []
     need = math.ceil(lower)
     # an "exact" status always carries its value

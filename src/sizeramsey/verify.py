@@ -501,18 +501,17 @@ def verify_certificate(cert: Certificate) -> Certificate:
         witness = {"kind": "mono_copy", "color": color,
                    "mapping": {int(k): int(v) for k, v in sorted(emb.items())}}
         return replace(cert, verdict="refuted", witness=witness)
-    if cert.plan.strategy == "affine":
-        n_bound = cert.plan.parameters.get("n")
-        if isinstance(n_bound, int):
-            comp = max_mono_component(cert.coloring)
-            # color 1 stands for the unused colors, whose components are
-            # single vertices: with n_bound <= 1 it is the first refutation
-            comp.setdefault(1, min(cert.host.vertex_count, 1))
-            for c in sorted(comp):
-                if comp[c] >= n_bound:
-                    witness = {"kind": "component", "color": c, "size": comp[c],
-                               "bound": n_bound}
-                    return replace(cert, verdict="refuted", witness=witness)
+    if cert.theorem_tag == "affine":
+        # the tag and the target fix the bound, not the editable plan; an
+        # unused color's single-vertex components never reach it, as a
+        # target on one vertex is a monochromatic copy found above
+        n_bound = cert.target.vertex_count
+        comp = max_mono_component(cert.coloring)
+        for c in sorted(comp):
+            if comp[c] >= n_bound:
+                witness = {"kind": "component", "color": c, "size": comp[c],
+                           "bound": n_bound}
+                return replace(cert, verdict="refuted", witness=witness)
     bound = certificate_bound(cert.theorem_tag, cert.target, cert.r)
     if bound != cert.claimed_bound:
         witness = {"kind": "bound", "theorem_tag": cert.theorem_tag,

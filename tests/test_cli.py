@@ -226,6 +226,13 @@ def test_exact_open_is_exit_3(capsys):
     assert "open: lower 4" in capsys.readouterr().out
 
 
+def test_exact_has_no_vertex_cap(capsys):
+    # a cap cut off P4's 7-edge host D}g yet still reported lower 11
+    assert main(["exact", "--target", "path:4", "-r", "2", "--emax", "10",
+                 "--vmax", "4"]) == 2
+    assert capsys.readouterr().out == ""
+
+
 def test_exact_cross_check(capsys):
     rc = main(["exact", "--target", "star:2", "-r", "2", "--emax", "3",
                "--cross-check"])
@@ -293,6 +300,21 @@ def test_palette_below_one_is_exit_2(capsys):
                   "-r", "0"]):
         assert main(argv) == 2, argv
         assert capsys.readouterr().err.startswith("error:"), argv
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", "path:3"],
+    ["analyze", "empty:3"],
+    ["certify", "--strategy", "beck", "--target", "biclique:2,3"],
+    ["embed", "--tree", "path:3"],
+    ["exact", "--target", "star:2"],
+    ["simulate", "--tree", "path:4", "-A", "1", "-B", "40"],
+], ids=lambda argv: "-".join(argv[:2]))
+def test_palette_below_one_prints_nothing(capsys, argv):
+    assert main(argv + ["-r", "0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
 
 
 def test_unreadable_inputs_are_exit_2(capsys, tmp_path):

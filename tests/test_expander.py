@@ -84,39 +84,35 @@ def test_local_sparsity_outcomes():
     assert check_local_sparsity(complete_graph(4), 0.0, 0).outcome == "vacuous"
     rep3 = check_local_sparsity(complete_graph(8), 0.0, 8, budget=3)
     assert rep3.outcome == "budget" and not rep3.exhaustive
+    assert rep3.checked == 3
     with pytest.raises(DomainError):
         check_local_sparsity(path_graph(4), -0.5, 2)
-    with pytest.raises(DomainError):
-        check_local_sparsity(path_graph(4), 0.0, 2, mode="bogus")
-
-
-def test_local_sparsity_sampled_mode():
-    rep = check_local_sparsity(complete_graph(6), 0.0, 6, mode="sampled",
-                               samples=500, seed=1)
-    assert rep.outcome == "fail" and not rep.exhaustive
 
 
 def test_expansion_outcomes():
     # K9: any X of size at most 3 sees all remaining vertices
-    rep = check_expansion(complete_graph(9), 2, 3, mode="exact")
+    rep = check_expansion(complete_graph(9), 2, 3)
     assert rep.outcome == "pass" and rep.exhaustive
     # a path expands poorly: the whole end pair has one outside neighbor
-    rep2 = check_expansion(path_graph(6), 2, 3, mode="exact")
+    rep2 = check_expansion(path_graph(6), 2, 3)
     assert rep2.outcome == "fail" and rep2.witness is not None
     assert check_expansion(Graph(0), 2, 3).outcome == "fail"
     assert check_expansion(complete_graph(3), 2, 0).outcome == "vacuous"
-    rep3 = check_expansion(complete_graph(9), 2, 5, mode="exact", budget=4)
-    assert rep3.outcome == "budget"
+    rep3 = check_expansion(complete_graph(9), 2, 5, budget=4)
+    assert rep3.outcome == "budget" and not rep3.exhaustive
+    # the budget counts examined sets, so exactly 4 were checked
+    assert rep3.checked == 4
     with pytest.raises(DomainError):
         check_expansion(complete_graph(3), -1, 2)
 
 
 def test_expansion_auto_mode_switches():
-    small = check_expansion(complete_graph(9), 2, 2, mode="auto")
+    # exhaustive up to 24 vertices, sampled above
+    small = check_expansion(complete_graph(9), 2, 2)
     assert small.exhaustive
-    big = check_expansion(sample_gnp(30, 0.9, 0), 1, 2, mode="auto",
-                          samples=50, seed=3)
-    assert not big.exhaustive
+    big = check_expansion(sample_gnp(30, 0.9, 0), 1, 2, seed=3)
+    assert big.outcome == "pass" and not big.exhaustive
+    assert big.checked == 2000
 
 
 def test_min_degree_peel():

@@ -243,22 +243,25 @@ def test_verify_cost_does_not_grow_with_the_palette():
     assert fresh.verdict == "verified"
 
 
-def test_affine_component_check_counts_unused_colors():
-    # a component bound of 1 fails on any vertex, in color 1 even unused
-    host = path_graph(3)
-    coloring = EdgeColoring(host, 3, {(0, 1): 2, (1, 2): 3})
-    plan = ColoringPlan(strategy="affine", parameters={"n": 1})
-    cert = make_cert(host=host, target=path_graph(3), r=3, coloring=coloring,
-                     plan=plan, claimed_bound=Fraction(7),  # C(q^2 s, 2) + 1, q = 2, s = 1
-                     theorem_tag="affine")
-    out = verify_certificate(cert)
-    assert out.verdict == "refuted"
-    assert out.witness == {"kind": "component", "color": 1, "size": 1, "bound": 1}
-    plan.parameters["n"] = 2
-    out = verify_certificate(cert)
-    assert out.witness == {"kind": "component", "color": 2, "size": 2, "bound": 2}
-    plan.parameters["n"] = 3
-    assert verify_certificate(cert).verdict == "verified"
+def test_affine_component_check_ignores_the_editable_plan():
+    # K4 recolored without a monochromatic P4, but color 1 is a star on all
+    # four vertices: the tag and the target fix the component bound, so no
+    # edit of the plan's strategy or n switches the check off
+    with pytest.warns(RuntimeWarning, match="below the guidance"):
+        cert = certify("affine", complete_graph(4), path_graph(4), 3)
+    recolor = {(0, 1): 1, (0, 2): 1, (0, 3): 1, (1, 2): 2, (2, 3): 2, (1, 3): 3}
+    refuted = {"kind": "component", "color": 1, "size": 4, "bound": 4}
+    for key, value in ((None, None), ("n", 100), ("strategy", "beck"),
+                       ("strategy", "none")):
+        doc = json.loads(certificate_to_json(cert))
+        doc["coloring"] = [[u, v, recolor[u, v]] for u, v, _ in doc["coloring"]]
+        if key == "n":
+            doc["parameters"]["n"] = value
+        elif key is not None:
+            doc[key] = value
+        out = verify_certificate(certificate_from_json(json.dumps(doc)))
+        assert out.verdict == "refuted", (key, value)
+        assert out.witness == refuted, (key, value)
 
 
 def test_certificate_json_roundtrip_is_byte_stable():
