@@ -16,7 +16,7 @@ params = ExpanderParams.from_constants(1.0, 40.0, r=2, n=tree.vertex_count)
 print(f"tree P6, r=2: host on N={params.N} vertices, edge probability "
       f"p={min(params.p, 1.0):.3f}")
 print(f"constants: c1={params.c1:.2f} c2={params.c2:.2f} "
-      f"delta={params.delta:.5f} d'={params.d_prime:.3f}")
+      f"delta={params.delta:.5f}")
 
 good = 0
 for seed in range(12):

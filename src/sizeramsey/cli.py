@@ -229,7 +229,7 @@ def _cmd_certify(args) -> int:
     else:
         host = _auto_host(args.strategy, target, args.r, args.seed)
     cert = certify(args.strategy, host, target, args.r, seed=args.seed,
-                   max_retries=args.max_retries, case3_split=args.case3_split)
+                   case3_split=args.case3_split)
     from .verify import certificate_to_json
 
     _write_text(certificate_to_json(cert), args.out)
@@ -419,7 +419,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="host graph spec; omit to auto-build one at the bound")
     p.add_argument("-r", type=int, default=2)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--max-retries", type=int, default=1000)
     p.add_argument("--case3-split", choices=["3.1", "3.2"], default=None)
     p.add_argument("--out", default=None, metavar="FILE",
                    help="write the certificate JSON to FILE instead of stdout "

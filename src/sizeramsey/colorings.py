@@ -14,10 +14,14 @@ Every edge threshold is written once, in the `_*_bound` functions of the
 `strategy_bound`, `lower_bound_value` and the exact search in `oracle`
 all call them.
 
+Every construction takes the host and the target it colors against, and
+derives the target's profile or double-star shape itself.
+
 Randomized steps are Las Vegas: partitions are resampled under a seeded
 RNG until the exact success condition holds, so a returned coloring is
 always sound and only the retry count varies with the seed.  A plan's
-`retries` counts the re-draws after the first.
+`retries` counts the re-draws after the first; after _MAX_RETRIES draws
+without success the construction raises LasVegasError.
 """
 
 from __future__ import annotations
@@ -47,7 +51,6 @@ from .graphs import (
     is_connected,
     is_double_star,
     is_star,
-    make_double_star,
     profile,
 )
 from .verify import (
@@ -336,24 +339,27 @@ def _cell_coloring(edges, cell: dict[int, int], plane, base: int
     return out
 
 
-def _resample(seed: int, max_retries: int, draw, judge, failure: str,
-              statistic: str):
+# draws a Las Vegas step makes before it gives up
+_MAX_RETRIES = 1000
+
+
+def _resample(seed: int, draw, judge, failure: str, statistic: str):
     """Las Vegas loop: draw from one seeded RNG until judge accepts.
 
     judge(sample) returns (statistic, accepted).  Returns the accepted
     sample, the smallest statistic seen and the number of re-draws after
-    the first; after max_retries draws raises LasVegasError instead.
+    the first; after _MAX_RETRIES draws raises LasVegasError instead.
     """
     rng = random.Random(seed)
     best = None
-    for retries in range(max_retries):
+    for retries in range(_MAX_RETRIES):
         sample = draw(rng)
         stat, ok = judge(sample)
         if best is None or stat < best:
             best = stat
         if ok:
             return sample, best, retries
-    raise LasVegasError(failure, retries=max_retries, best=f"{statistic} {best}")
+    raise LasVegasError(failure, retries=_MAX_RETRIES, best=f"{statistic} {best}")
 
 
 # ---------------------------------------------------------------------------
@@ -465,15 +471,15 @@ def _component_bounded_search(edges: list[tuple[int, int]], num_colors: int,
 
 
 def _color_small_part(g: Graph, vertices, n_bound: int, first_color: int,
-                      num_colors: int, target: Graph | None = None
+                      num_colors: int, target: Graph
                       ) -> tuple[dict[tuple[int, int], int], str]:
     """Color the edges inside `vertices` with a fresh palette so that no
     color class has a connected component on n_bound or more vertices.
 
     Tries, in order: nothing to do; a single color (valid when the part is
     smaller than n_bound); an affine blow-up; a small exhaustive search;
-    and, when a target is supplied, a target-free coloring search whose
-    result is sound for the certificate even without the component bound.
+    and a target-free coloring search whose result is sound for the
+    certificate even without the component bound.
     """
     vs = sorted(set(vertices))
     edges = edges_within(g, vs)
@@ -493,17 +499,16 @@ def _color_small_part(g: Graph, vertices, n_bound: int, first_color: int,
         if found is not None:
             return ({e: first_color + c - 1 for e, c in found.items()},
                     "exhaustive")
-    if target is not None:
-        sub, mapping = induced_subgraph(g, vs)
-        status, colors, _ = search_h_free_coloring(sub, target, num_colors,
-                                                   node_budget=2_000_000)
-        if status == "free" and colors is not None:
-            out = {}
-            for (a, b), c in colors.items():
-                u, v = mapping[a], mapping[b]
-                e = (u, v) if u < v else (v, u)
-                out[e] = first_color + c - 1
-            return out, "h_free"
+    sub, mapping = induced_subgraph(g, vs)
+    status, colors, _ = search_h_free_coloring(sub, target, num_colors,
+                                               node_budget=2_000_000)
+    if status == "free" and colors is not None:
+        out = {}
+        for (a, b), c in colors.items():
+            u, v = mapping[a], mapping[b]
+            e = (u, v) if u < v else (v, u)
+            out[e] = first_color + c - 1
+        return out, "h_free"
     raise ConstructionError(
         f"cannot color a part of {len(vs)} vertices and {len(edges)} edges "
         f"with {num_colors} colors under component bound {n_bound}"
@@ -566,17 +571,16 @@ def affine_component_coloring(N: int, n: int, r: int
 # the 2-color split construction
 
 
-def beck_coloring(g: Graph, prof: BipartiteProfile
-                  ) -> tuple[EdgeColoring, ColoringPlan]:
-    """Red/blue coloring leaving no monochromatic H when e(g) < beta(H)/4.
+def beck_coloring(g: Graph, h: Graph) -> tuple[EdgeColoring, ColoringPlan]:
+    """Red/blue coloring leaving no monochromatic h when e(g) < beta(h)/4.
 
-    X collects the vertices of degree below delta1; edges across the X/Y
-    split go red (1), edges inside either side go blue (2).  Requires the
-    canonical profile orientation n1*delta1 >= n2*delta2, on which the
-    counting argument depends.
+    X collects the vertices of degree below delta1 of h's canonical
+    profile (n1*delta1 >= n2*delta2, on which the counting argument
+    depends); edges across the X/Y split go red (1), edges inside either
+    side go blue (2).
     """
-    if prof.n1 * prof.delta1 < prof.n2 * prof.delta2:
-        raise DomainError("profile must be canonically oriented")
+    prof = profile(h)
+    _require_below(g, _beck_bound(prof.beta))
     x = frozenset(v for v in g.vertices() if g.degree(v) < prof.delta1)
     plan = ColoringPlan(
         strategy="beck",
@@ -591,8 +595,8 @@ def beck_coloring(g: Graph, prof: BipartiteProfile
 # coloring against non-bipartite targets
 
 
-def chi3_coloring(g: Graph, h: Graph, r: int, seed: int = 0,
-                  max_retries: int = 1000) -> tuple[EdgeColoring, ColoringPlan]:
+def chi3_coloring(g: Graph, h: Graph, r: int, seed: int = 0
+                  ) -> tuple[EdgeColoring, ColoringPlan]:
     """Color g with at most 3r colors leaving no monochromatic copy of a
     non-bipartite h, provided e(g) < r^2 e(h) / 4.
 
@@ -647,7 +651,7 @@ def chi3_coloring(g: Graph, h: Graph, r: int, seed: int = 0,
         return peak, peak < m
 
     cell, best_load, retries = _resample(
-        seed, max_retries, lambda rng: {v: rng.randrange(q * q) for v in rest},
+        seed, lambda rng: {v: rng.randrange(q * q) for v in rest},
         peak_line_load, f"no cell partition with all line loads below {m}",
         "best peak line load")
     colors.update(_cell_coloring(rest_edges, cell, plane, r + 2))
@@ -671,17 +675,15 @@ def chi3_coloring(g: Graph, h: Graph, r: int, seed: int = 0,
 # bipartite constructions
 
 
-def weakbip_coloring(g: Graph, prof: BipartiteProfile, r: int, *,
-                     target: Graph | None = None
+def weakbip_coloring(g: Graph, h: Graph, r: int
                      ) -> tuple[EdgeColoring, ColoringPlan]:
-    """Color g with at most 2r colors against a bipartite non-star H,
+    """Color g with at most 2r colors against a bipartite non-star h,
     provided e(g) < r^2 (delta2 - 1)(n1 + n2) / 4 with delta2 the smaller
     of the two part max degrees.
 
     Low-degree vertices X get the bucket lemma over all their edges with
     width delta2 - 1; the few remaining vertices Y span few edges and get a
-    fresh palette under the component bound n1 + n2.  `target` only feeds
-    the Y-part search (see _color_small_part).
+    fresh palette under the component bound n1 + n2.
 
     The coloring is returned unverified, and it has a narrow unsound
     regime.  In a bucket color every X vertex has degree at most
@@ -694,14 +696,14 @@ def weakbip_coloring(g: Graph, prof: BipartiteProfile, r: int, *,
     """
     if r < 2:
         raise DomainError(f"weakbip coloring needs r >= 2, got {r}")
-    _require_below(g, _weakbip_bound(prof, r))
-    p = _oriented_delta_first(prof)
+    p = _oriented_delta_first(profile(h))
+    _require_below(g, _weakbip_bound(p, r))
     k = p.delta2 - 1
     x, y = _degree_split(g, r * k - 1, Fraction(r * (p.n1 + p.n2), 2))
     bucket_col, _ = vizing_bucket_coloring(g, x, r, k)
     colors = dict(bucket_col.colors)
     y_colors, y_method = _color_small_part(
-        g, y, n_bound=p.n1 + p.n2, first_color=r + 1, num_colors=r, target=target
+        g, y, n_bound=p.n1 + p.n2, first_color=r + 1, num_colors=r, target=h
     )
     colors.update(y_colors)
     plan = ColoringPlan(
@@ -720,11 +722,10 @@ def _chunk_partition(items: list[int], parts: int) -> list[list[int]]:
     return out
 
 
-def gen2_coloring(g: Graph, prof: BipartiteProfile, r: int, seed: int = 0,
-                  max_retries: int = 1000, target: Graph | None = None,
+def gen2_coloring(g: Graph, h: Graph, r: int, seed: int = 0,
                   case3_split: str | None = None
                   ) -> tuple[EdgeColoring, ColoringPlan]:
-    """Color g with at most 8r colors against a bipartite non-star H,
+    """Color g with at most 8r colors against a bipartite non-star h,
     provided e(g) < r^2 (delta1 - 1) n1 / 4 in canonical orientation.
 
     Each edge role gets its own palette: intra-X buckets (1..r), the
@@ -734,15 +735,13 @@ def gen2_coloring(g: Graph, prof: BipartiteProfile, r: int, seed: int = 0,
     connected monochromatic subgraph stays inside a single block.
 
     case3_split forces the subcase ("3.1" or "3.2") for testing; the
-    natural dispatch picks 3.1 whenever 64 r^4 delta1^2 >= n1.  `target`
-    only feeds the Y-part search (see _color_small_part).  The coloring is
-    returned unverified; like weakbip_coloring's it may leave a copy of H,
-    which `certify` finds and recolors away.
+    natural dispatch picks 3.1 whenever 64 r^4 delta1^2 >= n1.  The
+    coloring is returned unverified; like weakbip_coloring's it may leave a
+    copy of h, which `certify` finds and recolors away.
     """
     if r < 2:
         raise DomainError(f"gen2 coloring needs r >= 2, got {r}")
-    if prof.n1 * prof.delta1 < prof.n2 * prof.delta2:
-        raise DomainError("profile must be canonically oriented")
+    prof = profile(h)
     _require_below(g, _gen2_bound(prof, r))
     n1, n2, d1, d2 = prof.n1, prof.n2, prof.delta1, prof.delta2
     k1 = d1 - 1
@@ -754,7 +753,7 @@ def gen2_coloring(g: Graph, prof: BipartiteProfile, r: int, seed: int = 0,
         colors[e] = (c - 1) // k1 + 1
     # inside Y, colors r+1..2r
     y_colors, y_method = _color_small_part(
-        g, y, n_bound=n1 + n2, first_color=r + 1, num_colors=r, target=target
+        g, y, n_bound=n1 + n2, first_color=r + 1, num_colors=r, target=h
     )
     colors.update(y_colors)
     yset = set(y)
@@ -825,7 +824,7 @@ def gen2_coloring(g: Graph, prof: BipartiteProfile, r: int, seed: int = 0,
                 return worst, True
 
             assign, _, retries = _resample(
-                seed, max_retries, lambda rng: {v: rng.randrange(2 * r) for v in y},
+                seed, lambda rng: {v: rng.randrange(2 * r) for v in y},
                 worst_part, "no balanced Y partition found for the interface",
                 "best worst-part statistic")
             for (u, v), anchor in cross_x1:
@@ -877,7 +876,7 @@ def gen2_coloring(g: Graph, prof: BipartiteProfile, r: int, seed: int = 0,
                 return peak, peak < quarter
 
             (ax, ay), _, retries = _resample(
-                seed, max_retries,
+                seed,
                 lambda rng: ({v: rng.randrange(2 * r) for v in x1},
                              {v: rng.randrange(2 * r) for v in y1}),
                 peak_block_load,
@@ -909,9 +908,9 @@ def gen2_coloring(g: Graph, prof: BipartiteProfile, r: int, seed: int = 0,
 # double stars
 
 
-def double_star_coloring(g: Graph, n: int, m: int, r: int
+def double_star_coloring(g: Graph, h: Graph, r: int
                          ) -> tuple[EdgeColoring, ColoringPlan]:
-    """r-color g against the double star S_{n,m}, provided
+    """r-color g against the double star h = S_{n,m} (n >= m), provided
     e(g) < (r^2 - 1)(nm + m^2)/16.
 
     Edges at low-degree vertices are bucketed at width m with floor(r/2)
@@ -920,8 +919,7 @@ def double_star_coloring(g: Graph, n: int, m: int, r: int
     span is colored with the remaining ceil(r/2) colors under the
     component bound n + m + 2.  Both exclusions are unconditional.
     """
-    if not (n >= m >= 1):
-        raise DomainError(f"double star needs n >= m >= 1, got ({n}, {m})")
+    n, m = _double_star_shape(h)
     if r < 2:
         raise DomainError(f"double star coloring needs r >= 2, got {r}")
     _require_below(g, _double_star_bound(n, m, r))
@@ -932,7 +930,7 @@ def double_star_coloring(g: Graph, n: int, m: int, r: int
     colors = dict(bucket_col.colors)
     y_colors, y_method = _color_small_part(
         g, y, n_bound=n + m + 2, first_color=r_low + 1, num_colors=r_high,
-        target=make_double_star(n, m),
+        target=h,
     )
     colors.update(y_colors)
     plan = ColoringPlan(
@@ -943,18 +941,17 @@ def double_star_coloring(g: Graph, n: int, m: int, r: int
     return EdgeColoring(g, r, colors), plan
 
 
-def double_star_2coloring(g: Graph, n: int, m: int
+def double_star_2coloring(g: Graph, h: Graph
                           ) -> tuple[EdgeColoring, ColoringPlan]:
-    """Red/blue coloring of g leaving no monochromatic S_{n,m}, provided
-    e(g) < (n+1)(m+1)/2 + (m+1)^2/2.
+    """Red/blue coloring of g leaving no monochromatic h = S_{n,m}
+    (n >= m), provided e(g) < (n+1)(m+1)/2 + (m+1)^2/2.
 
     X holds the vertices of degree at most m.  Red crossing edges force a
     center into X with total degree at most m; blue components containing
     a central edge live inside Y, which the edge bound keeps below
     n + m + 2 vertices.
     """
-    if not (n >= m >= 1):
-        raise DomainError(f"double star needs n >= m >= 1, got ({n}, {m})")
+    n, m = _double_star_shape(h)
     _require_below(g, _double_star_2col_bound(n, m))
     x, y = _degree_split(g, m, n + m + 2)
     plan = ColoringPlan(
@@ -969,8 +966,7 @@ def double_star_2coloring(g: Graph, n: int, m: int
 # theorem-level wrappers that split r into the inner palette
 
 
-def scaled_nonstar_coloring(g: Graph, h: Graph, r: int, seed: int = 0,
-                            max_retries: int = 1000
+def scaled_nonstar_coloring(g: Graph, h: Graph, r: int, seed: int = 0
                             ) -> tuple[EdgeColoring, ColoringPlan]:
     """At most r colors against any connected non-star h for r >= 6, via
     floor(r/3) inner colors (non-bipartite) or floor(r/2) (bipartite)."""
@@ -979,20 +975,17 @@ def scaled_nonstar_coloring(g: Graph, h: Graph, r: int, seed: int = 0,
     if not is_connected(h) or h.edge_count == 0:
         raise DomainError("target must be connected with at least one edge")
     if is_bipartite(h):
-        if is_star(h):
-            raise DomainError(_STAR_TARGET)
         inner = r // 2
-        coloring, plan = weakbip_coloring(g, profile(h), inner, target=h)
+        coloring, plan = weakbip_coloring(g, h, inner)
     else:
         inner = r // 3
-        coloring, plan = chi3_coloring(g, h, inner, seed, max_retries)
+        coloring, plan = chi3_coloring(g, h, inner, seed)
     plan.parameters["scaled_from_r"] = r
     plan.parameters["inner_r"] = inner
     return coloring, plan
 
 
-def scaled_bipartite_coloring(g: Graph, h: Graph, r: int, seed: int = 0,
-                              max_retries: int = 1000
+def scaled_bipartite_coloring(g: Graph, h: Graph, r: int, seed: int = 0
                               ) -> tuple[EdgeColoring, ColoringPlan]:
     """At most r colors against a connected bipartite non-star h for
     r >= 16, via floor(r/8) inner colors in the general construction."""
@@ -1000,11 +993,8 @@ def scaled_bipartite_coloring(g: Graph, h: Graph, r: int, seed: int = 0,
         raise DomainError(f"the scaled bipartite coloring needs r >= 16, got {r}")
     if not is_connected(h) or not is_bipartite(h) or h.edge_count == 0:
         raise DomainError("target must be connected and bipartite")
-    if is_star(h):
-        raise DomainError(_STAR_TARGET)
     inner = r // 8
-    coloring, plan = gen2_coloring(g, profile(h), inner, seed, max_retries,
-                                   target=h)
+    coloring, plan = gen2_coloring(g, h, inner, seed)
     plan.parameters["scaled_from_r"] = r
     plan.parameters["inner_r"] = inner
     return coloring, plan
@@ -1107,8 +1097,7 @@ def certificate_bound(theorem_tag: str, target: Graph, palette: int
 
 
 def certify(strategy: str, host: Graph, target: Graph, r: int, seed: int = 0,
-            max_retries: int = 1000, case3_split: str | None = None
-            ) -> Certificate:
+            case3_split: str | None = None) -> Certificate:
     """Run a construction on the host and verify the result exactly.
 
     The returned certificate's verdict is written only by the verifier;
@@ -1124,19 +1113,17 @@ def certify(strategy: str, host: Graph, target: Graph, r: int, seed: int = 0,
     if not is_connected(target) or target.edge_count == 0:
         raise DomainError("target must be connected with at least one edge")
     if strategy == "beck":
-        coloring, plan = beck_coloring(host, profile(target))
+        coloring, plan = beck_coloring(host, target)
     elif strategy == "double_star_2col":
-        coloring, plan = double_star_2coloring(host, *_double_star_shape(target))
+        coloring, plan = double_star_2coloring(host, target)
     elif strategy == "double_star":
-        coloring, plan = double_star_coloring(host, *_double_star_shape(target), r)
+        coloring, plan = double_star_coloring(host, target, r)
     elif strategy == "chi3":
-        coloring, plan = chi3_coloring(host, target, r, seed, max_retries)
+        coloring, plan = chi3_coloring(host, target, r, seed)
     elif strategy == "weakbip":
-        coloring, plan = weakbip_coloring(host, profile(target), r, target=target)
+        coloring, plan = weakbip_coloring(host, target, r)
     elif strategy == "gen2":
-        coloring, plan = gen2_coloring(host, profile(target), r, seed,
-                                       max_retries, target=target,
-                                       case3_split=case3_split)
+        coloring, plan = gen2_coloring(host, target, r, seed, case3_split)
     elif strategy == "affine":
         if host.edge_count != comb(host.vertex_count, 2):
             raise DomainError("the affine strategy requires a complete host")

@@ -58,8 +58,6 @@ class ExpanderParams:
     c1: float
     c2: float
     delta: float
-    d: float
-    d_prime: float
 
     @classmethod
     def from_constants(cls, a: float, b: float, r: int, n: int) -> "ExpanderParams":
@@ -67,8 +65,8 @@ class ExpanderParams:
             raise DomainError(f"need r >= 2, got {r}")
         if n < 1:
             raise DomainError(f"need n >= 1, got {n}")
-        if a <= 0 or b <= 0:
-            raise DomainError(f"constants must be positive, got a={a}, b={b}")
+        if not (0 < a < math.inf and 0 < b < math.inf):
+            raise DomainError(f"constants must be positive and finite, got a={a}, b={b}")
         lnr = math.log(r)
         c1 = b * r * lnr
         c2 = b * lnr / 4
@@ -77,13 +75,14 @@ class ExpanderParams:
                 f"b*log(r) = {b * lnr} must exceed 4 for the sparsity scale"
             )
         delta = (c2 / (5 * c1)) ** (c2 / (c2 - 1))
-        big_n = math.ceil(a * r * n - 1e-9)
-        p = c1 / big_n
-        params = cls(a=a, b=b, r=r, n=n, N=big_n, p=p, c1=c1, c2=c2,
-                     delta=float(delta), d=c1, d_prime=c2)
-        if params.d_prime > params.d / (4 * r) + 1e-9:
-            raise DomainError("the thinned degree must stay below d/(4r)")
-        return params
+        size = a * r * n
+        if size == math.inf:
+            raise DomainError(f"a*r*n = {size} is not a finite host size")
+        big_n = math.ceil(size - 1e-9)
+        if big_n < 1:
+            raise DomainError(f"a*r*n = {size} leaves the host without vertices")
+        return cls(a=a, b=b, r=r, n=n, N=big_n, p=c1 / big_n, c1=c1, c2=c2,
+                   delta=float(delta))
 
 
 def sample_gnp(n: int, p: float, seed: int) -> Graph:

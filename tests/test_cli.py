@@ -21,6 +21,7 @@ from sizeramsey import (
     path_graph,
     star,
 )
+from sizeramsey import colorings
 from sizeramsey.cli import main, parse_graph_spec
 from sizeramsey.verify import certificate_to_json
 
@@ -172,11 +173,17 @@ def test_verify_missing_and_garbage_files(capsys, tmp_path):
     assert "error:" in capsys.readouterr().err
 
 
-def test_certify_budget_exhaustion_is_exit_3(capsys):
-    rc = main(["certify", "--strategy", "chi3", "--target", "cycle:5",
-               "-r", "2", "--max-retries", "0"])
+def test_certify_budget_exhaustion_is_exit_3(capsys, monkeypatch):
+    monkeypatch.setattr(colorings, "_MAX_RETRIES", 0)
+    rc = main(["certify", "--strategy", "chi3", "--target", "cycle:5", "-r", "2"])
     assert rc == 3
     assert "budget exhausted:" in capsys.readouterr().err
+
+
+def test_certify_has_no_retry_option(capsys):
+    assert main(["certify", "--strategy", "chi3", "--target", "cycle:5",
+                 "-r", "2", "--max-retries", "5"]) == 2
+    assert capsys.readouterr().out == ""
 
 
 # ---------------------------------------------------------------------------
@@ -258,6 +265,21 @@ def test_simulate_small_tree(capsys, tmp_path):
     lines = out.read_text().splitlines()
     assert len(lines) == 3
     assert all(json.loads(line)["verified"] for line in lines)
+
+
+@pytest.mark.parametrize("constants", [
+    ["-A", "nan", "-B", "40"],
+    ["-A", "inf", "-B", "40"],
+    ["-A", "1e308", "-B", "40"],
+    ["-A", "1e-300", "-B", "40"],
+    ["-A", "1", "-B", "nan"],
+    ["-A", "1", "-B", "inf"],
+], ids=lambda argv: " ".join(argv))
+def test_simulate_rejects_constants_without_a_host(capsys, constants):
+    assert main(["simulate", "--tree", "path:4"] + constants) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
 
 
 def test_simulate_bad_seed_range(capsys):

@@ -29,7 +29,6 @@ from sizeramsey import (
     mono_copy,
     parse_graph6,
     path_graph,
-    profile,
     scaled_bipartite_coloring,
     scaled_nonstar_coloring,
     star,
@@ -173,25 +172,23 @@ def test_affine_random_component_bounds():
 # the individual constructions, spot checks
 
 
-def test_beck_requires_canonical_orientation():
-    # P5 has part products 6 and 4, so the swapped profile is rejected;
-    # a complete bipartite profile would tie and stay legal either way
-    prof = profile(path_graph(5))
-    g = helpers.random_graph(random.Random(0), 6, 5)
-    beck_coloring(g, prof)
-    with pytest.raises(DomainError):
-        beck_coloring(g, prof.swapped())
-
-
 def test_beck_split_semantics():
-    prof = profile(make_double_star(3, 3))  # delta1 = 4
     g = complete_bipartite(2, 3)
-    coloring, plan = beck_coloring(g, prof)
+    coloring, plan = beck_coloring(g, make_double_star(3, 3))  # delta1 = 4
     x = set(plan.parts["X"])
     assert x == set(g.vertices())  # all degrees below 4
     for e in g.edges:
         assert coloring.get(*e) == 2  # nothing crosses out of X
     assert coloring.r == 2
+
+
+def test_beck_requires_a_host_below_its_bound():
+    # K8 has 28 edges against beta(P4)/4 = 2; the red/blue split of K8
+    # holds a monochromatic P4, so the construction must refuse the host
+    with pytest.raises(DomainError):
+        beck_coloring(complete_graph(8), path_graph(4))
+    with pytest.raises(DomainError):
+        certify("beck", complete_graph(8), path_graph(4), 2)
 
 
 def test_chi3_rejects_bipartite_and_fat_hosts():
@@ -212,10 +209,10 @@ def test_chi3_is_seed_deterministic():
 
 def test_weakbip_rejects_stars_and_fat_hosts():
     with pytest.raises(DomainError):
-        weakbip_coloring(path_graph(3), profile(star(3)), 3)
+        weakbip_coloring(path_graph(3), star(3), 3)
     big = complete_graph(10)
     with pytest.raises(DomainError):
-        weakbip_coloring(big, profile(cycle_graph(4)), 2)
+        weakbip_coloring(big, cycle_graph(4), 2)
 
 
 def test_gen2_case_dispatch():
@@ -223,47 +220,93 @@ def test_gen2_case_dispatch():
     # delta1 <= delta2 after canonical orientation: C6
     g = helpers.random_graph(rng, 8, helpers.strict_floor(
         strategy_bound("gen2", cycle_graph(6), 3)))
-    _, plan = gen2_coloring(g, profile(cycle_graph(6)), 3,
-                            target=cycle_graph(6))
+    _, plan = gen2_coloring(g, cycle_graph(6), 3)
     assert plan.parameters["case"] == "1"
     # delta1 > delta2, n1 <= n2: S_{4,2} orients to (3, 5, 5, 3)
     ds = make_double_star(4, 2)
     g2 = helpers.random_graph(rng, 9, helpers.strict_floor(
         strategy_bound("gen2", ds, 3)))
-    _, plan2 = gen2_coloring(g2, profile(ds), 3, target=ds)
+    _, plan2 = gen2_coloring(g2, ds, 3)
     assert plan2.parameters["case"] == "2"
     # delta1 > delta2 and n1 > n2
     t = helpers.CASE3_TARGET
     g3 = helpers.random_graph(rng, 10, helpers.strict_floor(
         strategy_bound("gen2", t, 2)))
-    _, plan3 = gen2_coloring(g3, profile(t), 2, target=t)
+    _, plan3 = gen2_coloring(g3, t, 2)
     assert plan3.parameters["case"] == "3.1"  # natural dispatch at desk scale
-    _, plan4 = gen2_coloring(g3, profile(t), 2, target=t, case3_split="3.2")
+    _, plan4 = gen2_coloring(g3, t, 2, case3_split="3.2")
     assert plan4.parameters["case"] == "3.2"
     with pytest.raises(DomainError):
-        gen2_coloring(g3, profile(t), 2, case3_split="nope")
+        gen2_coloring(g3, t, 2, case3_split="nope")
 
 
 def test_gen2_rejects_stars():
     with pytest.raises(DomainError):
-        gen2_coloring(path_graph(3), profile(star(4)), 2)
+        gen2_coloring(path_graph(3), star(4), 2)
+
+
+# (target graph6, r, host, seed, case3_split, case, part sizes, first color
+# of the interface palette the instance must use): hosts on which gen2
+# colors X-to-Y edges, so the paths that only run with Y nonempty are
+# checked unaided by certify's fallback
+GEN2_PATHS = [
+    ("EkE?", 3, parse_graph6("HPhoP?c"), 0, None, "2",
+     {"X": 8, "Y": 1, "Y_0": 1, "Y_1": 0, "Y_2": 0}, 7),
+    ("HhOK?C@", 2, complete_bipartite(2, 4), 0, None, "3.1",
+     {"X": 4, "Y": 2, "X0": 0, "X1": 4, "Y_3": 2}, 7),
+    ("JhOK?C@?_?_", 2, parse_graph6("E\\Jo"), 442, "3.2", "3.2",
+     {"X": 4, "Y": 2, "X0": 1, "X1": 3, "Y0": 0, "Y1": 2,
+      "X1_0": 0, "Y1_0": 0, "X1_1": 0, "Y1_1": 0,
+      "X1_2": 1, "Y1_2": 0, "X1_3": 2, "Y1_3": 2}, 9),
+    ("Ji_GS?@?S??", 2, parse_graph6("F~~~g"), 123, "3.2", "3.2",
+     {"X": 2, "Y": 5, "X0": 0, "X1": 2, "Y0": 0, "Y1": 5,
+      "X1_0": 1, "Y1_0": 3, "X1_1": 0, "Y1_1": 0,
+      "X1_2": 1, "Y1_2": 1, "X1_3": 0, "Y1_3": 1}, 9),
+]
+
+
+@pytest.mark.parametrize("target6, r, host, seed, split, case, sizes, first",
+                         GEN2_PATHS, ids=["2", "3.1", "3.2a", "3.2b"])
+def test_gen2_colors_the_x_to_y_interface(target6, r, host, seed, split, case,
+                                          sizes, first):
+    target = parse_graph6(target6)
+    coloring, plan = gen2_coloring(host, target, r, seed, case3_split=split)
+    assert plan.parameters["case"] == case
+    assert {name: len(part) for name, part in plan.parts.items()} == sizes
+    assert any(c >= first for c in coloring.used_colors())
+    assert mono_copy(coloring, target) is None
+    cert = certify("gen2", host, target, r, seed=seed, case3_split=split)
+    assert cert.verdict == "verified"
+    assert "fallback" not in cert.plan.parameters
+
+
+def test_chi3_colors_the_v0_interface():
+    coloring, plan = chi3_coloring(star(6), complete_graph(3), 3)
+    assert plan.parts["V0"] == (0,)
+    assert all(coloring.get(0, v) == 4 for v in range(1, 7))  # color r + 1
+    assert mono_copy(coloring, complete_graph(3)) is None
+    cert = certify("chi3", star(6), complete_graph(3), 3)
+    assert cert.verdict == "verified"
+    assert "fallback" not in cert.plan.parameters
 
 
 def test_double_star_colorings():
     g = helpers.random_graph(random.Random(3), 8, 10)
-    coloring, plan = double_star_coloring(g, 3, 3, 4)
+    ds = make_double_star(3, 3)
+    coloring, plan = double_star_coloring(g, ds, 4)
     assert coloring.r == 4 and coloring.is_total()
-    assert mono_copy(coloring, make_double_star(3, 3)) is None
+    assert mono_copy(coloring, ds) is None
     with pytest.raises(DomainError):
-        double_star_coloring(g, 2, 3, 4)  # needs n >= m
+        # too many edges
+        double_star_coloring(complete_graph(10), make_double_star(2, 2), 3)
     with pytest.raises(DomainError):
-        double_star_coloring(complete_graph(10), 2, 2, 3)  # too many edges
+        double_star_coloring(g, cycle_graph(4), 4)  # not a double star
 
-    coloring2, _ = double_star_2coloring(g, 3, 3)
+    coloring2, _ = double_star_2coloring(g, ds)
     assert coloring2.r == 2
-    assert mono_copy(coloring2, make_double_star(3, 3)) is None
+    assert mono_copy(coloring2, ds) is None
     with pytest.raises(DomainError):
-        double_star_2coloring(complete_graph(10), 2, 2)
+        double_star_2coloring(complete_graph(10), make_double_star(2, 2))
 
 
 def test_scaled_wrappers():
@@ -391,7 +434,7 @@ def test_weakbip_fallback_replaces_a_coloring_with_a_copy():
     # weakbip_coloring); the construction alone leaves that copy, and
     # certify's exhaustive fallback recolors the host
     host, tree = parse_graph6("Ho}?pRW"), parse_graph6("GsOGGG")
-    coloring, plan = weakbip_coloring(host, profile(tree), 2, target=tree)
+    coloring, plan = weakbip_coloring(host, tree, 2)
     hit = mono_copy(coloring, tree)
     assert hit is not None and hit[0] == 1
     assert "fallback" not in plan.parameters

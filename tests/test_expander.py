@@ -30,7 +30,6 @@ def test_params_arithmetic():
     lnr = math.log(2)
     assert params.c1 == pytest.approx(40.0 * 2 * lnr)
     assert params.c2 == pytest.approx(40.0 * lnr / 4)
-    assert params.d == params.c1 and params.d_prime == params.c2
     # c2 = c1 / (4r) by construction
     assert params.c2 == pytest.approx(params.c1 / (4 * params.r))
     assert params.N == math.ceil(1.0 * 2 * 6)
