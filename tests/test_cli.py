@@ -274,6 +274,8 @@ def test_simulate_small_tree(capsys, tmp_path):
     ["-A", "1e-300", "-B", "40"],
     ["-A", "1", "-B", "nan"],
     ["-A", "1", "-B", "inf"],
+    # b*r*log(r) overflows although b is finite
+    ["-A", "1", "-B", "1e308", "-r", "3"],
 ], ids=lambda argv: " ".join(argv))
 def test_simulate_rejects_constants_without_a_host(capsys, constants):
     assert main(["simulate", "--tree", "path:4"] + constants) == 2

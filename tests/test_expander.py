@@ -1,8 +1,11 @@
 """Random host sampling, structure checks, and the end-to-end trials."""
 
+import hashlib
 import math
 import json
 import random
+from dataclasses import astuple
+from itertools import combinations
 
 import pytest
 
@@ -21,6 +24,8 @@ from sizeramsey import (
     sample_gnp,
     star,
 )
+
+from sizeramsey import expander
 
 import helpers
 
@@ -103,6 +108,11 @@ def test_expansion_outcomes():
     assert rep3.checked == 4
     with pytest.raises(DomainError):
         check_expansion(complete_graph(3), -1, 2)
+    # arguments are checked before the empty graph's outright failure
+    with pytest.raises(DomainError):
+        check_expansion(Graph(0), -1, 2)
+    with pytest.raises(DomainError):
+        check_expansion(Graph(0), 2, -5)
 
 
 def test_expansion_auto_mode_switches():
@@ -112,6 +122,94 @@ def test_expansion_auto_mode_switches():
     big = check_expansion(sample_gnp(30, 0.9, 0), 1, 2, seed=3)
     assert big.outcome == "pass" and not big.exhaustive
     assert big.checked == 2000
+
+
+# the references return SetCheckReport's fields as a tuple:
+# (outcome, exhaustive, witness, checked)
+def _first_failure_reference(sets, fails, budget, exhaustive):
+    checked = 0
+    for s in sets:
+        if checked == budget:
+            return ("budget", False, None, checked)
+        checked += 1
+        if fails(s):
+            return ("fail", exhaustive, tuple(sorted(s)), checked)
+    return ("pass", exhaustive, None, checked)
+
+
+def _sparsity_reference(g, delta, k_max, budget):
+    """check_local_sparsity with the edges of a set counted on sets."""
+    if k_max <= 0:
+        return ("vacuous", True, None, 0)
+
+    def spans_too_much(members):
+        e = sum(1 for u in members for w in g.neighbors(u)
+                if w in members and w > u)
+        return e > (1 + delta) * len(members)
+
+    return _first_failure_reference(expander._connected_sets(g, k_max),
+                                    spans_too_much, budget, True)
+
+
+def _expansion_reference(g, factor, max_set, budget, seed):
+    """check_expansion with the outside neighbors counted on sets."""
+    n = g.vertex_count
+    if n == 0:
+        return ("fail", True, (), 0)
+    limit = min(max_set, n)
+    if limit == 0:
+        return ("vacuous", True, None, 0)
+
+    def expands_too_little(xs):
+        members = set(xs)
+        boundary = set()
+        for u in members:
+            boundary.update(g.neighbors(u))
+        return len(boundary - members) < factor * len(members)
+
+    if n <= 24:
+        sets = (xs for size in range(1, limit + 1)
+                for xs in combinations(range(n), size))
+    else:
+        rng = random.Random(seed)
+        sets = (rng.sample(range(n), rng.randint(1, limit))
+                for _ in range(2000))
+    return _first_failure_reference(sets, expands_too_little, budget, n <= 24)
+
+
+def test_set_checks_match_set_based_reference():
+    """Both checks give the reports of a reference that counts on Python
+    sets, on hosts of 0-40 vertices (exhaustive and sampled expansion)."""
+    rng = random.Random(2024)
+    outcomes = {"sparsity": set(), "expansion": set()}
+    for _ in range(120):
+        n = rng.randint(0, 40)
+        g = sample_gnp(n, rng.choice([0.05, 0.15, 0.3, 0.6]), rng.randrange(10**6))
+        budget = rng.choice([1, 3, 50, 10**6])
+        delta = rng.choice([0.0, 0.1, 0.5])
+        k_max = rng.randint(0, 5)
+        got = check_local_sparsity(g, delta, k_max, budget=budget)
+        assert astuple(got) == _sparsity_reference(g, delta, k_max, budget)
+        outcomes["sparsity"].add(got.outcome)
+        factor, max_set, seed = rng.randint(0, 3), rng.randint(0, 3), rng.randrange(100)
+        got = check_expansion(g, factor, max_set, budget=budget, seed=seed)
+        assert astuple(got) == _expansion_reference(g, factor, max_set, budget, seed)
+        outcomes["expansion"].add((got.outcome, got.exhaustive))
+    assert outcomes["sparsity"] == {"pass", "fail", "vacuous", "budget"}
+    assert {"pass", "fail", "vacuous", "budget"} <= {o for o, _ in outcomes["expansion"]}
+    assert {("pass", True), ("fail", True), ("pass", False), ("fail", False)} \
+        <= outcomes["expansion"]
+
+
+def test_trial_reports_are_pinned_at_the_benchmark_shapes():
+    # P6, b = 12, r = 2 at N = 60, 240, 480, 960 and seeds 0 and 1
+    tree = path_graph(6)
+    text = "".join(
+        appendix_trial(ExpanderParams.from_constants(a, 12.0, 2, 6), tree, seed).to_json()
+        + "\n"
+        for a in (5, 20, 40, 80) for seed in (0, 1))
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "b05bf2dc686694c2613e482ebcc21b1896855823ce8c8636b1653219e0f4bd27")
 
 
 def test_min_degree_peel():
