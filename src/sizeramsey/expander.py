@@ -10,11 +10,11 @@ argument that motivates the parameters.
 The argument's two set properties, local sparsity of the host and
 expansion of the core (Friedman and Pippenger, "Expanding graphs contain
 all small trees", 1987), go through one loop that stops at the first
-failing set or at the budget.  Both are evaluated on a table of neighbor
-bitmasks built once per check (bit w of nb[u] is set when w is adjacent
-to u), so a set's boundary or spanned edges cost a few int operations
-per member.  Each report says whether its sets were all of them, a
-random sample, or none because the property is vacuous.
+failing set or at the budget.  Expansion is evaluated on a table of
+neighbor bitmasks built once per check (bit w of nb[u] is set when w is
+adjacent to u), so a set's boundary costs a few int operations per
+member.  Each report says whether its sets were all of them, a random
+sample, or none because the property is vacuous.
 """
 
 from __future__ import annotations
@@ -143,11 +143,6 @@ def _first_failure(sets, fails, budget: int, exhaustive: bool) -> SetCheckReport
     return SetCheckReport("pass", exhaustive, None, checked)
 
 
-def _neighbor_masks(g: Graph) -> list[int]:
-    """nb[u] has bit w set for each neighbor w of u."""
-    return [sum(1 << w for w in nbrs) for nbrs in g.adj]
-
-
 def _connected_sets(g: Graph, k_max: int):
     """Yield every connected vertex set of size <= k_max exactly once.
 
@@ -178,20 +173,16 @@ def check_local_sparsity(g: Graph, delta: float, k_max: int,
 
     A minimal violating set is connected (edge counts add over components),
     so only connected sets are enumerated, all of them up to the budget.
-    k_max <= 0 makes the property vacuous.  A set's edges are counted on
-    neighbor bitmasks: half the sum over members of |nb[u] & S|.
+    k_max <= 0 makes the property vacuous.
     """
     if delta < 0:
         raise DomainError(f"delta must be >= 0, got {delta}")
     if k_max <= 0:
         return SetCheckReport("vacuous", True, None, 0)
-    nb = _neighbor_masks(g)
 
     def spans_too_much(members) -> bool:
-        smask = 0
-        for u in members:
-            smask |= 1 << u
-        e = sum((nb[u] & smask).bit_count() for u in members) // 2
+        e = sum(1 for u in members for w in g.neighbors(u)
+                if w in members and w > u)
         return e > (1 + delta) * len(members)
 
     return _first_failure(_connected_sets(g, k_max), spans_too_much, budget,
@@ -217,7 +208,8 @@ def check_expansion(g: Graph, factor: int, max_set: int,
     limit = min(max_set, n)
     if limit == 0:
         return SetCheckReport("vacuous", True, None, 0)
-    nb = _neighbor_masks(g)
+    # nb[u] has bit w set for each neighbor w of u
+    nb = [sum(1 << w for w in nbrs) for nbrs in g.adj]
 
     def expands_too_little(xs) -> bool:
         reach = inside = 0
