@@ -19,6 +19,7 @@ from fractions import Fraction
 
 from .colorings import (
     STRATEGIES,
+    _affine_cells,
     certify,
     lower_bound_value,
     strategy_bound,
@@ -34,7 +35,7 @@ from .errors import (
     LasVegasError,
 )
 from .expander import ExpanderParams, appendix_trial
-from .geometry import make_affine_plane, q_for_ramsey
+from .geometry import make_affine_plane
 from .graphs import (
     Graph,
     beta,
@@ -196,9 +197,7 @@ def _auto_host(strategy: str, target: Graph, r: int, seed: int) -> Graph:
     """A host at the edge threshold: ceil(bound)-1 edges, dense enough to
     be connected, resampled until it is (affine gets the capacity clique)."""
     if strategy == "affine":
-        q = q_for_ramsey(r)
-        s = (target.vertex_count - 1) // q
-        capacity = q * q * s
+        capacity = _affine_cells(r, target.vertex_count)[2]
         if capacity < 2:
             raise DomainError(
                 f"target on {target.vertex_count} vertices is too small for an "

@@ -39,7 +39,12 @@ from .errors import (
     DomainError,
     LasVegasError,
 )
-from .geometry import make_affine_plane, q_for_partition, q_for_ramsey
+from .geometry import (
+    MAX_FIELD_SIZE,
+    make_affine_plane,
+    q_for_partition,
+    q_for_ramsey,
+)
 from .graphs import (
     BipartiteProfile,
     Graph,
@@ -135,11 +140,8 @@ def _mg_insert(st: _ProperState, u: int, v: int) -> None:
     while True:
         last = fan[-1]
         nxt = None
-        for c in range(1, st.palette + 1):
-            if c in st.at[last]:
-                continue
-            w = st.at[u].get(c)
-            if w is not None and w not in fan_set:
+        for c, w in sorted(st.at[u].items()):
+            if c not in st.at[last] and w not in fan_set:
                 nxt = w
                 break
         if nxt is None:
@@ -488,9 +490,8 @@ def _color_small_part(g: Graph, vertices, n_bound: int, first_color: int,
     if len(vs) < n_bound:
         return {e: first_color for e in edges}, "single"
     if num_colors >= 3:
-        q = q_for_ramsey(num_colors)
-        s = (n_bound - 1) // q
-        if s >= 1 and len(vs) <= q * q * s:
+        q, s, capacity = _affine_cells(num_colors, n_bound)
+        if len(vs) <= capacity:
             cell = {v: i // s for i, v in enumerate(vs)}
             return (_cell_coloring(edges, cell, make_affine_plane(q), first_color),
                     "affine")
@@ -519,6 +520,23 @@ def _color_small_part(g: Graph, vertices, n_bound: int, first_color: int,
 # affine blow-up coloring of complete hosts
 
 
+def _affine_cells(r: int, n: int) -> tuple[int, int, int]:
+    """(q, s, capacity) of the affine blow-up that r-colors a clique with
+    every monochromatic component below n vertices: the q^2 points of
+    AG(2, q), q = q_for_ramsey(r), become cells of s = (n - 1) // q
+    vertices, q*q*s in all.
+
+    When (r + 2) // 2 >= n every candidate q exceeds n - 1, so the cells
+    are empty; (0, 0, 0) is returned without the search for q, whose trial
+    division would cost time growing with sqrt(r).
+    """
+    if r >= 3 and (r + 2) // 2 >= n:
+        return 0, 0, 0
+    q = q_for_ramsey(r)
+    s = (n - 1) // q
+    return q, s, q * q * s
+
+
 def affine_component_coloring(N: int, n: int, r: int
                               ) -> tuple[EdgeColoring, ColoringPlan]:
     """r-color K_N so every monochromatic component has fewer than n vertices.
@@ -533,9 +551,10 @@ def affine_component_coloring(N: int, n: int, r: int
         raise DomainError(f"affine coloring needs r >= 3, got {r}")
     if n < 2:
         raise DomainError(f"component bound n must be >= 2, got {n}")
-    q = q_for_ramsey(r)
-    s = (n - 1) // q
-    capacity = q * q * s
+    q, s, capacity = _affine_cells(r, n)
+    if N <= 1 and not q:
+        # the plan of an edgeless host records q even when cells are empty
+        q = q_for_ramsey(r)
     host = complete_graph(N)
     plan = ColoringPlan(
         strategy="affine",
@@ -553,7 +572,7 @@ def affine_component_coloring(N: int, n: int, r: int
         return EdgeColoring(host, r), plan
     if N > capacity:
         raise CapacityError(
-            f"K_{N} exceeds the blow-up of AG(2, {q}) with cells of {s}",
+            f"K_{N} exceeds the affine blow-up with cells of {s}",
             max_value=capacity,
         )
     colors = _cell_coloring(host.edges, {v: v // s for v in range(N)},
@@ -609,6 +628,11 @@ def chi3_coloring(g: Graph, h: Graph, r: int, seed: int = 0
     """
     if r < 2:
         raise DomainError(f"chi3 coloring needs r >= 2, got {r}")
+    if r > MAX_FIELD_SIZE:
+        # its plane's order q_for_partition(r) >= r would exceed every field
+        raise DomainError(
+            f"chi3 coloring needs r <= {MAX_FIELD_SIZE}, the largest field size, "
+            f"got {r}")
     if not is_connected(h) or h.edge_count == 0:
         raise DomainError("target must be connected with at least one edge")
     if is_bipartite(h):
@@ -628,8 +652,6 @@ def chi3_coloring(g: Graph, h: Graph, r: int, seed: int = 0
             colors[(u, v)] = r + 1
     # Las Vegas cell partition of the remaining vertices
     q = q_for_partition(r)
-    if r + q + 2 > 3 * r:
-        raise ConstructionError("partition palette exceeds the 3r budget")
     plane = make_affine_plane(q)
     lines_through: list[list[int]] = [[] for _ in range(q * q)]
     for lid, pts in enumerate(plane.lines):
@@ -1070,13 +1092,7 @@ def strategy_bound(strategy: str, target: Graph, r: int) -> Fraction:
     if strategy == "gen2":
         return _gen2_bound(profile(target), r)
     if strategy == "affine":
-        if r >= 3 and (r + 2) // 2 >= target.vertex_count:
-            # every q from q_for_ramsey exceeds n - 1, so cells are empty;
-            # its trial division would cost time growing with sqrt(r)
-            return Fraction(1)
-        q = q_for_ramsey(r)
-        s = (target.vertex_count - 1) // q
-        return Fraction(comb(q * q * s, 2) + 1)
+        return Fraction(comb(_affine_cells(r, target.vertex_count)[2], 2) + 1)
     raise DomainError(f"unknown strategy {strategy!r}; choose from {STRATEGIES}")
 
 

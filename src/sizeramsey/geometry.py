@@ -1,11 +1,13 @@
 """Finite fields GF(p^k) and affine planes AG(2, q), built from scratch.
 
-Fields are represented on the element set 0..q-1.  For prime q the
-element i is the residue i mod p; for prime powers an element encodes the
-coefficient vector of a polynomial over GF(p) in base-p digits
-(low-order digit = constant term), reduced modulo the lexicographically
-first monic irreducible polynomial of the right degree.  Add/mul tables
-are precomputed, which is cheap for the supported range q <= 64.
+Fields are represented on the element set 0..q-1.  An element of GF(p^k)
+encodes the coefficients of a polynomial over GF(p) of degree below k in
+base-p digits (low-order digit = constant term), so for prime q it is the
+residue mod p.  Both q x q tables are built directly: addition digit by
+digit mod p, multiplication by shifting digits up and folding the top
+digit back through the modulus x^k + low(x), the lexicographically first
+monic irreducible of degree k (see make_field).  They are cheap for the
+supported range q <= 64 and built once per field.
 """
 
 from __future__ import annotations
@@ -46,75 +48,6 @@ def prime_power_decompose(q: int) -> tuple[int, int] | None:
 
 def is_prime_power(q: int) -> bool:
     return prime_power_decompose(q) is not None
-
-
-# ---------------------------------------------------------------------------
-# polynomial helpers over GF(p); polynomials are low-endian coefficient tuples
-
-
-def _poly_from_int(m: int, p: int, k: int) -> tuple[int, ...]:
-    digits = []
-    for _ in range(k):
-        digits.append(m % p)
-        m //= p
-    return tuple(digits)
-
-
-def _poly_trim(a: list[int]) -> list[int]:
-    while a and a[-1] == 0:
-        a.pop()
-    return a
-
-
-def _poly_mul(a: list[int], b: list[int], p: int) -> list[int]:
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai == 0:
-            continue
-        for j, bj in enumerate(b):
-            out[i + j] = (out[i + j] + ai * bj) % p
-    return _poly_trim(out)
-
-
-def _poly_mod(a: list[int], mod: list[int], p: int) -> list[int]:
-    # mod is monic
-    a = list(a)
-    _poly_trim(a)
-    d = len(mod) - 1
-    while len(a) - 1 >= d and a:
-        lead = a[-1]
-        shift = len(a) - 1 - d
-        for i, c in enumerate(mod):
-            a[shift + i] = (a[shift + i] - lead * c) % p
-        _poly_trim(a)
-    return a
-
-
-def _is_irreducible(poly: list[int], p: int) -> bool:
-    """Trial division by every monic polynomial of degree 1..deg//2."""
-    deg = len(poly) - 1
-    for d in range(1, deg // 2 + 1):
-        for m in range(p ** d):
-            divisor = list(_poly_from_int(m, p, d)) + [1]
-            if not _poly_mod(poly, divisor, p):
-                return False
-    return True
-
-
-def _first_irreducible(p: int, k: int) -> tuple[int, ...]:
-    """Lexicographically first monic irreducible of degree k over GF(p).
-
-    Candidates x^k + c_{k-1}x^{k-1} + ... + c_0 are scanned in increasing
-    order of the base-p integer encoding of (c_0, ..., c_{k-1}).
-    """
-    for m in range(p ** k):
-        lower = _poly_from_int(m, p, k)
-        poly = list(lower) + [1]
-        if _is_irreducible(poly, p):
-            return tuple(poly)
-    raise AssertionError(f"no irreducible polynomial of degree {k} over GF({p})")
 
 
 @dataclass(frozen=True)
@@ -184,8 +117,32 @@ class FiniteField:
 _FIELD_CACHE: dict[int, FiniteField] = {}
 
 
+def _quotient_mul(add: tuple[tuple[int, ...], ...], times_x: list[int], p: int
+                  ) -> tuple[tuple[int, ...], ...] | None:
+    """Multiplication table of the quotient ring whose multiplication by x
+    is times_x, or None as soon as a nonzero row holds no 1, i.e. some
+    nonzero element has no inverse and the ring is not a field."""
+    q = len(add)
+    rows = []
+    for a in range(q):
+        # b = b % p + x*(b // p), and b // p < b once b >= p
+        row = [0]
+        for b in range(1, q):
+            row.append(add[row[-1]][a] if b < p
+                       else add[times_x[row[b // p]]][row[b % p]])
+        if a and 1 not in row:
+            return None
+        rows.append(tuple(row))
+    return tuple(rows)
+
+
 def make_field(q: int) -> FiniteField:
-    """Construct GF(q); q must be a prime power with q <= MAX_FIELD_SIZE."""
+    """Construct GF(q); q must be a prime power with q <= MAX_FIELD_SIZE.
+
+    Candidate moduli x^k + low(x) are tried in increasing order of low's
+    base-p code, and the first whose quotient ring is a field is kept:
+    F_p[x]/(f) is a field exactly when f is irreducible.
+    """
     if q in _FIELD_CACHE:
         return _FIELD_CACHE[q]
     if q < 2 or q > MAX_FIELD_SIZE:
@@ -194,34 +151,24 @@ def make_field(q: int) -> FiniteField:
     if pk is None:
         raise DomainError(f"{q} is not a prime power")
     p, k = pk
-    if k == 1:
-        add = tuple(tuple((a + b) % p for b in range(p)) for a in range(p))
-        mul = tuple(tuple((a * b) % p for b in range(p)) for a in range(p))
-        fieldobj = FiniteField(q, p, 1, None, add, mul)
+    digits = [[a // p ** i % p for i in range(k)] for a in range(q)]
+
+    def code(ds: list[int]) -> int:
+        return sum(d * p ** i for i, d in enumerate(ds))
+
+    add = tuple(tuple(code([(x + y) % p for x, y in zip(da, db)])
+                      for db in digits) for da in digits)
+    for low in digits:
+        # x*a shifts a's digits up and folds the top one back: x^k = -low(x)
+        times_x = [code([(s - d[-1] * c) % p for s, c in zip([0] + d[:-1], low)])
+                   for d in digits]
+        mul = _quotient_mul(add, times_x, p)
+        if mul is not None:
+            break
     else:
-        modulus = list(_first_irreducible(p, k))
-        polys = [list(_poly_from_int(m, p, k)) for m in range(q)]
-
-        def encode(poly: list[int]) -> int:
-            out = 0
-            for c in reversed(poly):
-                out = out * p + c
-            return out
-
-        add_rows = []
-        mul_rows = []
-        for a in range(q):
-            add_row = []
-            mul_row = []
-            for b in range(q):
-                s = [(x + y) % p for x, y in zip(
-                    polys[a] + [0] * k, polys[b] + [0] * k)][:k]
-                add_row.append(encode(_poly_trim(list(s))))
-                prod = _poly_mod(_poly_mul(polys[a], polys[b], p), modulus, p)
-                mul_row.append(encode(prod))
-            add_rows.append(tuple(add_row))
-            mul_rows.append(tuple(mul_row))
-        fieldobj = FiniteField(q, p, k, tuple(modulus), tuple(add_rows), tuple(mul_rows))
+        raise AssertionError(f"no irreducible polynomial of degree {k} over GF({p})")
+    modulus = tuple(low) + (1,) if k > 1 else None
+    fieldobj = FiniteField(q, p, k, modulus, add, mul)
     _FIELD_CACHE[q] = fieldobj
     return fieldobj
 

@@ -2,9 +2,13 @@
 codes, and JSON side outputs."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import sizeramsey
 from sizeramsey import (
     ColoringPlan,
     Certificate,
@@ -24,6 +28,14 @@ from sizeramsey import (
 from sizeramsey import colorings
 from sizeramsey.cli import main, parse_graph_spec
 from sizeramsey.verify import certificate_to_json
+
+
+def run_module(*argv: str, timeout: float | None = None):
+    """`python -m sizeramsey argv` in a child process on this package."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(sizeramsey.__file__)))
+    return subprocess.run([sys.executable, "-m", "sizeramsey", *argv],
+                          capture_output=True, text=True, timeout=timeout,
+                          env={**os.environ, "PYTHONPATH": src})
 
 
 def same(a: Graph, b: Graph) -> bool:
@@ -131,6 +143,19 @@ def test_certify_out_dash_is_stdout(capsys, tmp_path, monkeypatch):
     assert rc == 0
     assert json.loads(capsys.readouterr().out)["theorem_tag"] == "beck"
     assert list(tmp_path.iterdir()) == []
+
+
+def test_certify_affine_default_host_is_the_capacity_clique(capsys):
+    # q = 2 and cells of (5 - 1) // 2 = 2 vertices give AG(2, 2)'s 8
+    with pytest.warns(RuntimeWarning):
+        rc = main(["certify", "--strategy", "affine", "--target", "path:5",
+                   "-r", "3"])
+    captured = capsys.readouterr()
+    assert rc == 0
+    doc = json.loads(captured.out)
+    assert same(parse_graph6(doc["host_graph6"]), complete_graph(8))
+    assert "host: 8 vertices, 28 edges" in captured.err
+    assert "verdict: verified" in captured.err
 
 
 def test_verify_flags_refuted_certificate(capsys, tmp_path):
@@ -341,6 +366,22 @@ def test_palette_below_one_prints_nothing(capsys, argv):
     assert captured.err.startswith("error:")
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["--strategy", "affine", "--target", "path:4"], "too small"),
+    (["--strategy", "affine", "--target", "path:4", "--host", "complete:3"],
+     "exceeds the affine blow-up"),
+    (["--strategy", "chi3", "--target", "cycle:3", "--host", "complete:5"],
+     "the largest field size"),
+], ids=["affine", "affine-host", "chi3"])
+def test_palette_beyond_every_plane_is_exit_2_at_once(argv, message):
+    # no prime power is searched for: the affine cells are empty, and chi3's
+    # plane would exceed every field, whatever q turned out to be; a child
+    # process with a timeout keeps a regression from hanging the suite
+    run = run_module("certify", *argv, "-r", str(10 ** 18), timeout=10)
+    assert run.returncode == 2 and run.stdout == ""
+    assert "error:" in run.stderr and message in run.stderr
+
+
 def test_unreadable_inputs_are_exit_2(capsys, tmp_path):
     empty = tmp_path / "empty.g6"
     empty.write_text("")
@@ -360,17 +401,6 @@ def test_unreadable_inputs_are_exit_2(capsys, tmp_path):
 
 
 def test_python_dash_m_runs_the_cli():
-    import os
-    import subprocess
-    import sys
-
-    import sizeramsey
-
-    src = os.path.dirname(os.path.dirname(os.path.abspath(sizeramsey.__file__)))
-    env = {**os.environ, "PYTHONPATH": src}
-    run = subprocess.run([sys.executable, "-m", "sizeramsey", "analyze", "path:4"],
-                         capture_output=True, text=True, env=env)
+    run = run_module("analyze", "path:4")
     assert run.returncode == 0 and "edges: 3" in run.stdout
-    run = subprocess.run([sys.executable, "-m", "sizeramsey"],
-                         capture_output=True, text=True, env=env)
-    assert run.returncode == 2
+    assert run_module().returncode == 2

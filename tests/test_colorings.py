@@ -1,6 +1,7 @@
 """The lower-bound constructions and their certificates."""
 
 import random
+import time
 import warnings
 from fractions import Fraction
 
@@ -103,6 +104,15 @@ def test_vizing_bucket_tight_degree_fallback():
         for c, d in per_color_degrees(coloring, v).items():
             assert d <= 1
     assert plan.parameters["tight_degree_vertices"] == [0, 1, 2, 3]
+
+
+def test_fan_step_cost_does_not_grow_with_the_palette():
+    # the fan scans the colors present at its center, not the whole
+    # palette, so r = 10^6 costs what r = 2 does
+    start = time.perf_counter()
+    cert = certify("weakbip", complete_graph(6), path_graph(4), 10 ** 6)
+    assert time.perf_counter() - start < 0.5
+    assert cert.verdict == "verified"
 
 
 def test_vizing_bucket_is_deterministic():
@@ -262,11 +272,18 @@ GEN2_PATHS = [
      {"X": 2, "Y": 5, "X0": 0, "X1": 2, "Y0": 0, "Y1": 5,
       "X1_0": 1, "Y1_0": 3, "X1_1": 0, "Y1_1": 0,
       "X1_2": 1, "Y1_2": 1, "X1_3": 0, "Y1_3": 1}, 9),
+    # the 4-arm spider on K_{2,6}: Y = Y0 = (0, 1), both heavy toward X1,
+    # so the r-way split of Y0 colors the whole interface from 3r + 1 on
+    ("HkE?K?@", 2, complete_bipartite(2, 6), 0, "3.2", "3.2",
+     {"X": 6, "Y": 2, "X0": 0, "X1": 6, "Y0": 2, "Y1": 0,
+      "X1_0": 1, "Y1_0": 0, "X1_1": 0, "Y1_1": 0,
+      "X1_2": 1, "Y1_2": 0, "X1_3": 4, "Y1_3": 0}, 7),
 ]
 
 
 @pytest.mark.parametrize("target6, r, host, seed, split, case, sizes, first",
-                         GEN2_PATHS, ids=["2", "3.1", "3.2a", "3.2b"])
+                         GEN2_PATHS,
+                         ids=["2", "3.1", "3.2a", "3.2b", "3.2-heavy-Y0"])
 def test_gen2_colors_the_x_to_y_interface(target6, r, host, seed, split, case,
                                           sizes, first):
     target = parse_graph6(target6)

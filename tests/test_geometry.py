@@ -5,6 +5,7 @@ to 16, which covers both the prime case and the polynomial-quotient case
 (4, 8, 9, 16).
 """
 
+import hashlib
 import itertools
 
 import pytest
@@ -72,6 +73,22 @@ def test_field_characteristic():
     for _ in range(f.p):
         total = f.add(total, f.one)
     assert total == 0
+
+
+def test_fields_are_pinned():
+    # one digest over every constructible field's order, characteristic,
+    # degree, modulus and both tables; the modulus is the lexicographically
+    # first monic irreducible, so the digest holds however it is found
+    digest = hashlib.sha256()
+    for q in range(2, MAX_FIELD_SIZE + 1):
+        if is_prime_power(q):
+            f = make_field(q)
+            digest.update(repr((f.q, f.p, f.k, f.modulus, f._add, f._mul)).encode())
+    assert digest.hexdigest() == (
+        "3a80a3ff372d118ee51a016bfbdc081a92f2115f7b6bb67e4666b129935f8312")
+    assert make_field(4).modulus == (1, 1, 1)  # x^2 + x + 1
+    assert make_field(9).modulus == (1, 0, 1)  # x^2 + 1
+    assert make_field(7).modulus is None
 
 
 def test_make_field_rejects_bad_orders():

@@ -210,8 +210,10 @@ def test_verify_certificate_checks_the_claimed_bound():
     assert out.witness == {"kind": "bound", "theorem_tag": "beck",
                            "claimed": {"num": 10 ** 6, "den": 1},
                            "bound": {"num": 3, "den": 1}}
-    # an unknown tag, or a palette the strategy cannot have, has no bound
-    for tag, palette in (("folklore", 2), ("weakbip", 3), ("gen2", 4), ("chi3", 4)):
+    # an unknown tag, a palette the strategy cannot have, or a target
+    # outside its domain (P6 is no double star) has no bound
+    for tag, palette in (("folklore", 2), ("weakbip", 3), ("gen2", 4), ("chi3", 4),
+                         ("double_star_2col", 2)):
         out = verify_certificate(replace(cert, theorem_tag=tag, r=palette))
         assert out.verdict == "refuted" and out.witness["bound"] is None, tag
     # a palette that divides gives the construction's bound back: weakbip's
