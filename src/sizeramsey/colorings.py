@@ -546,15 +546,15 @@ def affine_component_coloring(N: int, n: int, r: int
     through them, and edges inside a cell join the slope-0 class.  Every
     monochromatic component then lies inside one line's cell union, which
     has at most q*floor((n-1)/q) <= n-1 vertices.
+
+    When every cell is empty (see _affine_cells), the plan records q,
+    cell size and capacity 0, and only a host on at most one vertex fits.
     """
     if r < 3:
         raise DomainError(f"affine coloring needs r >= 3, got {r}")
     if n < 2:
         raise DomainError(f"component bound n must be >= 2, got {n}")
     q, s, capacity = _affine_cells(r, n)
-    if N <= 1 and not q:
-        # the plan of an edgeless host records q even when cells are empty
-        q = q_for_ramsey(r)
     host = complete_graph(N)
     plan = ColoringPlan(
         strategy="affine",

@@ -103,7 +103,7 @@ class FiniteField:
 
     def pow(self, a: int, e: int) -> int:
         if e < 0:
-            return self.pow(self.inv(a), -e)
+            a, e = self.inv(a), -e
         out = 1
         base = a
         while e:

@@ -78,36 +78,52 @@ def _wl_colors(n: int, adj, colors: list[int]) -> list[int]:
 
 
 def _adjacency_code(n: int, adj, ordering: list[int]) -> int:
+    """The upper triangle of the adjacency matrix under ordering, read row
+    by row as one binary number.  Each row is built as a small int and
+    shifted in whole, so the cost stays near linear in the n(n-1)/2 bits
+    instead of copying the growing code once per bit."""
     code = 0
-    for i in range(n):
+    for i in range(n - 1):
         ai = adj[ordering[i]]
+        row = 0
         for j in range(i + 1, n):
-            code = (code << 1) | (1 if ordering[j] in ai else 0)
+            row = (row << 1) | (ordering[j] in ai)
+        code = (code << (n - 1 - i)) | row
     return code
 
 
 def _canon_code(adj, label: list[int], colors: list[int]) -> int:
     """Least leaf code of the individualization-refinement tree below the
     equitable coloring `colors` (McKay & Piperno, "Practical graph
-    isomorphism II", 2014), pruned at twins, which share a label."""
+    isomorphism II", 2014), pruned at twins, which share a label.
+
+    The tree is walked with an explicit stack of the refined colorings
+    still to visit, so its depth, up to the vertex count, is not bounded
+    by the interpreter's recursion limit.  The least code does not depend
+    on the order in which the leaves are met."""
     n = len(adj)
-    classes: list[list[int]] = [[] for _ in range(max(colors) + 1)]
-    for v, c in enumerate(colors):
-        classes[c].append(v)
-    cell = next((cl for cl in classes if len(cl) >= 2), None)
-    if cell is None:
-        return _adjacency_code(n, adj, [cl[0] for cl in classes])
     best = None
-    tried: set[int] = set()
-    for v in cell:
-        if label[v] in tried:
+    stack = [colors]
+    while stack:
+        colors = stack.pop()
+        classes: list[list[int]] = [[] for _ in range(max(colors) + 1)]
+        for v, c in enumerate(colors):
+            classes[c].append(v)
+        for cell in classes:
+            if len(cell) >= 2:
+                break
+        else:
+            code = _adjacency_code(n, adj, [cl[0] for cl in classes])
+            if best is None or code < best:
+                best = code
             continue
-        tried.add(label[v])
-        seeded = [2 * c for c in colors]
-        seeded[v] += 1
-        code = _canon_code(adj, label, _wl_colors(n, adj, seeded))
-        if best is None or code < best:
-            best = code
+        tried: set[int] = set()
+        for v in cell:
+            if label[v] not in tried:
+                tried.add(label[v])
+                seeded = [2 * c for c in colors]
+                seeded[v] += 1
+                stack.append(_wl_colors(n, adj, seeded))
     return best
 
 
@@ -117,7 +133,7 @@ def canonical_form(g: Graph) -> tuple[int, int]:
     The code is the least adjacency code over the leaves of a search tree:
     refine the degree partition to an equitable coloring, individualize
     each vertex of its first non-singleton class in turn, refine again and
-    recurse until every class is a singleton, whose class order is a
+    repeat until every class is a singleton, whose class order is a
     vertex ordering.  Every step is defined from the graph and the colors
     alone, so isomorphic graphs have isomorphic trees, the same leaf codes
     and the same minimum; equal codes come from two orderings under which
@@ -281,9 +297,9 @@ def size_ramsey_exact(h: Graph, r: int, emax: int,
     split their edges into r colors of at most e(h)-1 edges each and no
     color holds a copy of h.  The search starts at r(e(h)-1)+1 edges; the
     smaller levels are still grown, as parents of the next.
-    The target's anchored plans are compiled once per call, and every host
-    goes through the search and the re-check of a free witness that
-    arrows runs, over those plans.
+    The target's anchored plans, one per orbit of its oriented edges, are
+    compiled once per call, and every host goes through the search and the
+    re-check of a free witness that arrows runs, over those plans.
 
     Budget-limited hosts are collected rather than guessed at: the result
     is only "exact" when every smaller host was definitively shown not to
@@ -298,8 +314,9 @@ def size_ramsey_exact(h: Graph, r: int, emax: int,
     plans = _anchored_plans(h)
 
     def copy_search(coloring: EdgeColoring, target: Graph):
-        # the first anchored plan without prescribed images is a complete
-        # search for a copy, so the re-check compiles nothing either
+        # the first anchored plan, that of h's first sorted edge, run
+        # without prescribed images is a complete search for a copy, so the
+        # re-check compiles nothing either
         return _mono_copy(coloring, target, plans[:1])
 
     start = _pigeonhole_bound(h.edge_count, r)

@@ -10,10 +10,13 @@ A target and a vertex order are compiled into a plan (the order, each
 position's earlier neighbors, each position's degree, each position's
 last earlier twin) before any search runs it, and the search may
 prescribe the images of the plan's first positions.  The target-free
-coloring search compiles its 2·e(H) anchored plans, whose first two
-positions map onto the newly colored host edge, once per call and runs
-them at every search node; the exact oracle compiles them once for every
-host it searches.
+coloring search compiles its anchored plans, whose first two positions
+map onto the newly colored host edge, once per call and runs them at
+every search node; the exact oracle compiles them once for every host it
+searches.  There is one anchored plan per orbit of oriented target edges
+under the target's automorphisms, not one per edge and orientation:
+anchors in one orbit find a copy through the same host edges (see
+_anchored_plans).
 
 Twins are target vertices with the same open neighborhood (false twins,
 such as the leaves of one star center) or the same closed neighborhood
@@ -236,8 +239,8 @@ def _embed_in_adjacency(
     as an adjacency structure, trying the target's compiled plans in turn,
     each with the same prescribed images for its first positions.  One
     unanchored plan searches for any copy; the anchored plans with prefix
-    (u, v) search for a copy through the host edge uv, every target edge
-    tried against it in both orientations.
+    (u, v) search for a copy through the host edge uv, one oriented target
+    edge of each automorphism orbit tried against it.
     """
     for plan in plans:
         emb = _backtrack_embed(plan, host_adj, host_vertices, prefix)
@@ -808,17 +811,45 @@ def search_h_free_coloring(
 
 
 def _anchored_plans(target: Graph) -> list[_Plan]:
-    """One anchored plan per target edge and orientation (x, y), its order
-    starting x, y: the 2·e(H) plans of a target-free coloring search.  They
-    depend only on the target, so a caller that searches many hosts for
-    one target compiles them once."""
+    """One anchored plan per orbit of oriented target edges under the
+    target's automorphisms, its order starting with the orbit's first
+    oriented edge (x, y) in sorted-edge order: the plans of a target-free
+    coloring search.  plans[0] is that of the first sorted edge in its
+    first orientation.  They depend only on the target, so a caller that
+    searches many hosts for one target compiles them once.
+
+    An oriented edge (x', y') lies in the orbit of a kept (x, y) exactly
+    when the plan of (x, y) embeds the target into itself with prefix
+    (x', y'): an injective edge-preserving self-map of a finite graph is
+    an automorphism.  Automorphisms keep degrees, so anchors of other
+    degrees skip that search.  A copy of the target through the host edge
+    uv anchored at (x, y) becomes, composed with an automorphism, one
+    anchored at any other member of the orbit, so the kept plans find a
+    copy through uv exactly when all 2·e(H) plans do, and statuses,
+    witnesses and node counts are those of the search over all of them.
+
+    Were an orbit wrongly merged, admissibility could only loosen: the
+    search could answer "free" but never a wrong "arrows".  A free witness
+    is re-checked by mono_copy, which raises on a monochromatic copy; a
+    witness that passes is target-free, hence, as in
+    backtrack_edge_coloring, the lex-least target-free coloring.
+    """
     if target.edge_count == 0:
         raise DomainError("search needs a target with at least one edge")
     if not is_connected(target):
         raise DomainError("search needs a connected target")
-    return _compile_plans(target, [_search_order(target, seed=(x, y))
-                                   for a, b in target.sorted_edges()
-                                   for x, y in ((a, b), (b, a))])
+    degs = target.degrees()
+    anchors: list[tuple[int, int]] = []
+    plans: list[_Plan] = []
+    for a, b in target.sorted_edges():
+        for x, y in ((a, b), (b, a)):
+            if any(degs[x] == degs[p] and degs[y] == degs[q]
+                   and _backtrack_embed(plan, target.adj, (), (x, y)) is not None
+                   for (p, q), plan in zip(anchors, plans)):
+                continue
+            anchors.append((x, y))
+            plans += _compile_plans(target, [_search_order(target, seed=(x, y))])
+    return plans
 
 
 def _search_h_free(g: Graph, plans: list[_Plan], r: int,

@@ -382,6 +382,16 @@ def test_palette_beyond_every_plane_is_exit_2_at_once(argv, message):
     assert "error:" in run.stderr and message in run.stderr
 
 
+def test_edgeless_affine_host_at_a_huge_palette_is_certified_at_once():
+    # with every cell empty no prime power is searched for, on an edgeless
+    # host too, whose plan then records q = 0
+    run = run_module("certify", "--strategy", "affine", "--target", "path:4",
+                     "--host", "complete:1", "-r", str(10 ** 18), timeout=10)
+    assert run.returncode == 0 and "verdict: verified" in run.stderr
+    params = json.loads(run.stdout)["parameters"]
+    assert (params["q"], params["cell_size"], params["capacity"]) == (0, 0, 0)
+
+
 def test_unreadable_inputs_are_exit_2(capsys, tmp_path):
     empty = tmp_path / "empty.g6"
     empty.write_text("")

@@ -155,7 +155,13 @@ def test_affine_trivial_and_domain_cases():
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         coloring, _ = affine_component_coloring(1, 4, 3)
+        # every cell is empty: no prime power is searched for, so the
+        # plan of the edgeless host records q = 0 at once
+        start = time.perf_counter()
+        _, plan = affine_component_coloring(1, 4, 10 ** 18)
+        assert time.perf_counter() - start < 1
     assert coloring.host.vertex_count == 1
+    assert plan.parameters["q"] == 0
     with pytest.raises(DomainError):
         affine_component_coloring(5, 4, 2)  # r < 3
     with pytest.raises(DomainError):

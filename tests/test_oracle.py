@@ -1,6 +1,7 @@
 """Ground-truth machinery: canonical forms, host enumeration, exhaustive
 arrowing, exact size-Ramsey values, and the bound cross-checker."""
 
+import hashlib
 import random
 
 import networkx as nx
@@ -18,6 +19,7 @@ from sizeramsey import (
     cross_check_bounds,
     cycle_graph,
     embed_host,
+    emit_graph6,
     enumerate_connected_graphs,
     mono_copy,
     EdgeColoring,
@@ -168,6 +170,35 @@ def test_canonical_form_degenerate():
     assert canonical_form(Graph(3)) == canonical_form(Graph(3))
 
 
+@pytest.mark.parametrize("emax, count, digest", [
+    (8, 358, "052b448ac9da14954b6edbe15f956156b4aaa78f72b8e383370748b133f4f41b"),
+    # through 8 edges every leaf of every search tree has the same code, so
+    # only 9 edges tell the least leaf code from, say, the greatest
+    (9, 1068, "19c80f86361cd17a2a3964e67ac10b845749ab990e3b337b0ea5f25036577b7f"),
+], ids=["8-edges", "9-edges"])
+def test_canonical_forms_are_pinned(emax, count, digest):
+    # SHA-256 of (edge count, graph6, form) of every enumerated graph
+    # through emax edges, taken while the search still recursed
+    rows = [(e, emit_graph6(g), canonical_form(g))
+            for e, graphs in oracle._grow_levels(emax, None) for g in graphs]
+    assert len(rows) == count
+    assert hashlib.sha256(repr(rows).encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("g", [Graph(1200), star(1200)],
+                         ids=["edgeless-1200", "star-1200"])
+def test_canonical_form_depth_is_not_bounded_by_recursion(g):
+    # twins pruned, the search tree is a path with one level per vertex
+    n, code = canonical_form(g)
+    assert n == g.vertex_count
+    # the least code orders the center last, so each row of the upper
+    # triangle ends in its only one: the rows below a row of length k + 1
+    # hold k(k + 1)/2 bits
+    want = 0 if g.edge_count == 0 else sum(1 << k * (k + 1) // 2
+                                           for k in range(n - 1))
+    assert code == want
+
+
 # ---------------------------------------------------------------------------
 # connected-host enumeration
 
@@ -279,6 +310,31 @@ def test_upper_bound_host_arrows(name, r):
     assert res.status == "arrows", res.nodes
 
 
+def test_arrows_k13_13_to_p6_is_pinned():
+    # the paper's P6 host at r = 2; one anchored plan per orbit of P6's
+    # oriented edges visits the nodes that all ten plans did
+    res = arrows(complete_bipartite(13, 13), path_graph(6), 2)
+    assert (res.status, res.nodes) == ("arrows", 9_759)
+
+
+def test_a_dropped_plan_orbit_surfaces_as_an_error(monkeypatch):
+    # keeping only K_{1,2}'s centre-to-leaf plan misses the copy through
+    # the host edge (1, 2) anchored leaf-to-centre: the search answers
+    # "free", and the re-check of its witness raises instead of passing a
+    # wrong verdict on
+    host, target = Graph(3, [(0, 2), (1, 2)]), star(2)
+    assert arrows(host, target, 1).status == "arrows"
+    original = verify._anchored_plans
+
+    def centre_to_leaf_only(h):
+        return [p for p in original(h) if p[0][0] == 0]
+
+    monkeypatch.setattr(verify, "_anchored_plans", centre_to_leaf_only)
+    with pytest.raises(AssertionError,
+                       match="free witness contains a monochromatic copy"):
+        arrows(host, target, 1)
+
+
 # ---------------------------------------------------------------------------
 # exact values
 
@@ -339,10 +395,11 @@ def test_exact_compiles_the_target_once_per_call(monkeypatch):
 
     monkeypatch.setattr(verify, "_compile_plans", counting)
     res = size_ramsey_exact(path_graph(4), 2, emax=7)
-    assert res.value == 7 and len(calls) == 1
+    # one compile per orbit of P4's oriented edges, none per host
+    assert res.value == 7 and len(calls) == 3
     # nothing is kept from one call to the next
     size_ramsey_exact(path_graph(4), 2, emax=7)
-    assert len(calls) == 2
+    assert len(calls) == 6
 
 
 def test_exact_domain_errors():

@@ -3,7 +3,8 @@
 The graph6 and edge-list parsers and the certificate loader raise only
 package errors on any input, fuzzed here with Hypothesis in derandomized
 mode so every run draws the same cases.  No check in the package lives in
-an assert statement, which python -O strips.
+an assert statement, which python -O strips, and no function but one
+whose depth is bounded by its input's nesting calls itself.
 """
 
 import ast
@@ -152,6 +153,44 @@ def test_no_assert_statements_in_the_package():
             found += [f"{name}:{node.lineno}" for node in ast.walk(tree)
                       if isinstance(node, ast.Assert)]
     assert found == []
+
+
+# functions allowed to call themselves, each with its depth bound
+RECURSION_ALLOWED = {
+    # nesting of a certificate's JSON values, not the host size
+    "verify.py:_jsonable",
+}
+
+
+def test_no_function_in_the_package_calls_itself():
+    # a search whose depth grows with the host must keep its own stack, as
+    # the interpreter's recursion limit would cap the host size; a call of
+    # a function by its own name, or of a method through self or cls,
+    # inside its body counts as recursion
+    root = os.path.dirname(sizeramsey.__file__)
+    found = set()
+    for name in sorted(os.listdir(root)):
+        if name.endswith(".py"):
+            path = os.path.join(root, name)
+            with open(path, encoding="utf-8") as fh:
+                tree = ast.parse(fh.read(), filename=path)
+            for fn in ast.walk(tree):
+                if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    continue
+                for node in ast.walk(fn):
+                    if not isinstance(node, ast.Call):
+                        continue
+                    f = node.func
+                    if isinstance(f, ast.Name):
+                        callee = f.id
+                    elif (isinstance(f, ast.Attribute) and isinstance(f.value, ast.Name)
+                          and f.value.id in ("self", "cls")):
+                        callee = f.attr
+                    else:
+                        continue
+                    if callee == fn.name:
+                        found.add(f"{name}:{fn.name}")
+    assert found == RECURSION_ALLOWED
 
 
 def test_no_unused_imports_in_the_package():

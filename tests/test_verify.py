@@ -366,8 +366,9 @@ def test_searches_do_not_recurse_per_host_edge():
 
 
 def test_search_h_free_compiles_anchored_orders_once(monkeypatch):
-    # the anchored orders depend only on the target: 2·e(K3) = 6 of them,
-    # however many nodes the search visits
+    # the anchored orders depend only on the target: one per orbit of its
+    # oriented edges, a single one for K3, however many nodes the search
+    # visits
     calls = []
     original = verify._search_order
 
@@ -378,7 +379,79 @@ def test_search_h_free_compiles_anchored_orders_once(monkeypatch):
     monkeypatch.setattr(verify, "_search_order", counting)
     status, _, nodes = search_h_free_coloring(complete_graph(6), complete_graph(3), 2)
     assert status == "arrows" and nodes > 6
-    assert len(calls) <= 2 * complete_graph(3).edge_count
+    assert len(calls) == 1
+
+
+def _all_anchored_plans(target: Graph) -> list:
+    """One anchored plan per target edge and orientation, the 2·e(H)
+    plans a search without the orbit cut runs."""
+    return verify._compile_plans(target, [
+        verify._search_order(target, seed=(x, y))
+        for a, b in target.sorted_edges() for x, y in ((a, b), (b, a))])
+
+
+def _differential_targets() -> list[Graph]:
+    # every connected target on at most 5 vertices, then P6, C5, K4, K_{2,3}
+    small = [g for e in range(1, 11)
+             for g in enumerate_connected_graphs(e, max_vertices=5)]
+    return small + [path_graph(6), cycle_graph(5), complete_graph(4),
+                    complete_bipartite(2, 3)]
+
+
+@pytest.mark.parametrize("target, count", [
+    (complete_graph(3), 1), (cycle_graph(4), 1), (cycle_graph(5), 1),
+    (complete_graph(4), 1), (complete_bipartite(2, 2), 1),
+    (path_graph(4), 3), (path_graph(5), 4), (path_graph(6), 5),
+    (star(2), 2), (star(3), 2), (star(6), 2),
+], ids=["K3", "C4", "C5", "K4", "K22", "P4", "P5", "P6", "K12", "K13", "K16"])
+def test_one_anchored_plan_per_orbit_of_oriented_edges(target, count):
+    plans = verify._anchored_plans(target)
+    assert len(plans) == count
+    # plans[0], the copy search of the free-witness re-check, is that of
+    # the first sorted edge in its first orientation
+    assert list(plans[0][0][:2]) == list(target.sorted_edges()[0])
+
+
+def test_orbit_plans_find_a_copy_through_an_edge_exactly_when_all_do():
+    # random classes of hosts on 4 to 8 vertices, every edge in both
+    # orientations: the kept plans and all 2·e(H) plans agree
+    rng = random.Random(16)
+    targets = _differential_targets()
+    assert len(targets) == 34
+    outcomes = set()
+    for target in targets:
+        reps = verify._anchored_plans(target)
+        every = _all_anchored_plans(target)
+        for _ in range(12):
+            g = helpers.random_gnp(rng, rng.randint(4, 8), rng.uniform(0.3, 0.9))
+            # a random color class of a partial coloring of g
+            adj = verify._class_adjacency(
+                e for e in g.sorted_edges() if rng.random() < 0.8)
+            for u in adj:
+                for v in adj[u]:
+                    kept = verify._embed_in_adjacency(adj, (), reps, (u, v))
+                    full = verify._embed_in_adjacency(adj, (), every, (u, v))
+                    assert (kept is None) == (full is None), (
+                        target.sorted_edges(), g.sorted_edges(), u, v)
+                    outcomes.add(kept is None)
+    assert outcomes == {True, False}
+
+
+def test_orbit_plans_leave_every_search_result_unchanged():
+    # (status, coloring, nodes) of a seeded corpus equal those of the
+    # search over all 2·e(H) plans
+    rng = random.Random(61)
+    statuses = set()
+    for target in _differential_targets():
+        every = _all_anchored_plans(target)
+        for _ in range(3):
+            g = helpers.random_gnp(rng, rng.randint(4, 7), rng.uniform(0.4, 0.9))
+            r = rng.randint(1, 3)
+            got = search_h_free_coloring(g, target, r, node_budget=20_000)
+            want = verify._search_h_free(g, every, r, 20_000)
+            assert got == want, (target.sorted_edges(), g.sorted_edges(), r)
+            statuses.add(got[0])
+    assert statuses >= {"free", "arrows"}
 
 
 def test_search_h_free_matches_brute_force():
