@@ -193,9 +193,21 @@ def _cmd_analyze(args) -> int:
     return 0
 
 
+# hosts the CLI builds itself stop at this many edges: more would exhaust
+# memory before any search began
+MAX_BUILT_HOST_EDGES = 10 ** 6
+
+
+def _require_buildable(edges: int) -> None:
+    if edges > MAX_BUILT_HOST_EDGES:
+        raise DomainError(f"a host of {edges} edges is over the CLI's limit of "
+                          f"{MAX_BUILT_HOST_EDGES}; pass one with --host")
+
+
 def _auto_host(strategy: str, target: Graph, r: int, seed: int) -> Graph:
     """A host at the edge threshold: ceil(bound)-1 edges, dense enough to
-    be connected, resampled until it is (affine gets the capacity clique)."""
+    be connected, resampled until it is (affine gets the capacity clique);
+    one above MAX_BUILT_HOST_EDGES is refused before it is built."""
     if strategy == "affine":
         capacity = _affine_cells(r, target.vertex_count)[2]
         if capacity < 2:
@@ -203,11 +215,13 @@ def _auto_host(strategy: str, target: Graph, r: int, seed: int) -> Graph:
                 f"target on {target.vertex_count} vertices is too small for an "
                 f"affine host at r={r}"
             )
+        _require_buildable(math.comb(capacity, 2))
         return complete_graph(capacity)
     bound = strategy_bound(strategy, target, r)
     e_host = math.ceil(bound) - 1
     if e_host < 1:
         raise DomainError(f"the bound {bound} admits no host with edges")
+    _require_buildable(e_host)
     n = max(4, math.isqrt(4 * e_host))
     while n * (n - 1) // 2 < e_host:
         n += 1
@@ -265,6 +279,7 @@ def _cmd_embed(args) -> int:
     if args.host is not None:
         host = parse_graph_spec(args.host, args.format)
     else:
+        _require_buildable(upper_bound_value(tree, r))
         host = embed_host(tree, r)
     from .verify import EdgeColoring
 

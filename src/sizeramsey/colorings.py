@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import random
 import warnings
-from collections import defaultdict
+from collections import Counter, defaultdict
 from dataclasses import replace
 from fractions import Fraction
 from math import comb
@@ -421,11 +421,11 @@ def vizing_bucket_coloring(g: Graph, x_set, r: int, k: int
     return coloring, plan
 
 
-def _distinct_cross_colors(cross: list[tuple[tuple[int, int], int]],
+def _distinct_cross_colors(cross: list[tuple[tuple[int, int], int, int]],
                            buckets: int, k: int, first_color: int
                            ) -> dict[tuple[int, int], int]:
-    """Give the edges at each anchor vertex pairwise distinct colors from a
-    fresh palette of buckets*k, bucketed to first_color..first_color+buckets-1.
+    """Give the edges (e, anchor, other end) at each anchor pairwise distinct
+    colors from buckets*k, bucketed to first_color..first_color+buckets-1.
 
     Per-anchor degree in each bucket is then at most k.  Anchors needing
     more than buckets*k edges raise ConstructionError.
@@ -433,7 +433,7 @@ def _distinct_cross_colors(cross: list[tuple[tuple[int, int], int]],
     palette = buckets * k
     used: dict[int, int] = defaultdict(int)
     out: dict[tuple[int, int], int] = {}
-    for e, anchor in sorted(cross):
+    for e, anchor, _ in sorted(cross):
         c = used[anchor] + 1
         if c > palette:
             raise ConstructionError(
@@ -736,12 +736,12 @@ def weakbip_coloring(g: Graph, h: Graph, r: int
     return EdgeColoring(g, 2 * r, colors), plan
 
 
-def _chunk_partition(items: list[int], parts: int) -> list[list[int]]:
-    """Deterministic split into `parts` consecutive chunks of near-equal size."""
-    out: list[list[int]] = [[] for _ in range(parts)]
-    for i, v in enumerate(items):
-        out[i % parts].append(v)
-    return out
+def _indexed_parts(parts: dict, name: str, index_of: dict[int, int]) -> None:
+    """Set parts[f"{name}_{i}"] to the vertices of index i, for each index in use."""
+    groups: dict[int, list[int]] = defaultdict(list)
+    for v in sorted(index_of):
+        groups[index_of[v]].append(v)
+    parts.update((f"{name}_{i}", tuple(vs)) for i, vs in groups.items())
 
 
 def gen2_coloring(g: Graph, h: Graph, r: int, seed: int = 0,
@@ -755,6 +755,9 @@ def gen2_coloring(g: Graph, h: Graph, r: int, seed: int = 0,
     hardest case randomized block pairs (4r+1..8r) colored by the 2-color
     split, with the blocks of one matching pairwise vertex-disjoint so a
     connected monochromatic subgraph stays inside a single block.
+
+    Indexed parts (Y_i, X1_i, Y1_i) are written only when non-empty, and no
+    list or loop is sized by r: no cost grows with r on a fixed host.
 
     case3_split forces the subcase ("3.1" or "3.2") for testing; the
     natural dispatch picks 3.1 whenever 64 r^4 delta1^2 >= n1.  The
@@ -779,15 +782,13 @@ def gen2_coloring(g: Graph, h: Graph, r: int, seed: int = 0,
     )
     colors.update(y_colors)
     yset = set(y)
+    # each X-to-Y edge once, as (edge, X end, Y end)
     cross = sorted(
-        (e, e[0] if e[0] in x else e[1])
-        for e in g.edges
-        if (e[0] in x) != (e[1] in x)
+        ((u, v), u, v) if u in x else ((u, v), v, u)
+        for u, v in g.edges
+        if (u in x) != (v in x)
     )
-    parts: dict[str, tuple[int, ...]] = {
-        "X": tuple(sorted(x)),
-        "Y": tuple(y),
-    }
+    parts: dict[str, tuple[int, ...]] = {"X": tuple(sorted(x)), "Y": tuple(y)}
     params: dict[str, object] = {"k": k1, "r": r, "y_method": y_method}
     retries = 0
     if d1 <= d2:
@@ -795,17 +796,14 @@ def gen2_coloring(g: Graph, h: Graph, r: int, seed: int = 0,
         params["case"] = "1"
         colors.update(_distinct_cross_colors(cross, r, k1, 2 * r + 1))
     elif n1 <= n2:
-        # Case 2: split Y into r parts below n1, color interface by part
+        # Case 2: split Y by index mod r into parts below n1, color by part
         params["case"] = "2"
-        chunks = _chunk_partition(y, r)
-        if any(len(ch) > n1 - 1 for ch in chunks):
+        if (len(y) + r - 1) // r > n1 - 1:
             raise ConstructionError("Y cannot be split into parts below n1")
-        part_of = {v: i for i, ch in enumerate(chunks) for v in ch}
-        for (u, v), anchor in cross:
-            other = v if anchor == u else u
-            colors[(u, v)] = 2 * r + 1 + part_of[other]
-        for i, ch in enumerate(chunks):
-            parts[f"Y_{i}"] = tuple(ch)
+        part_of = {v: i % r for i, v in enumerate(y)}
+        for e, _, b in cross:
+            colors[e] = 2 * r + 1 + part_of[b]
+        _indexed_parts(parts, "Y", part_of)
     else:
         # Case 3: delta1 > delta2 and n1 > n2
         k0 = d2 - 1
@@ -816,8 +814,8 @@ def gen2_coloring(g: Graph, h: Graph, r: int, seed: int = 0,
         x1 = sorted(x - x0)
         parts["X0"] = tuple(sorted(x0))
         parts["X1"] = tuple(x1)
-        cross_x0 = [(e, a) for e, a in cross if a in x0]
-        cross_x1 = [(e, a) for e, a in cross if a not in x0]
+        cross_x0 = [c for c in cross if c[1] in x0]
+        cross_x1 = [c for c in cross if c[1] not in x0]
         colors.update(_distinct_cross_colors(cross_x0, r, k0, 2 * r + 1))
         split = case3_split
         if split is None:
@@ -830,33 +828,23 @@ def gen2_coloring(g: Graph, h: Graph, r: int, seed: int = 0,
             # randomized 2r-partition of Y; every part below n1 and every
             # X1 vertex with below delta1 neighbors in each part
             def worst_part(assign: dict[int, int]) -> tuple[int, bool]:
-                sizes = [0] * (2 * r)
-                for v in y:
-                    sizes[assign[v]] += 1
-                worst = max(sizes, default=0)
+                worst = max(Counter(assign.values()).values(), default=0)
                 if worst > n1 - 1:
                     return worst, False
                 for v in x1set:
-                    counts = [0] * (2 * r)
-                    for w in g.neighbors(v):
-                        if w in yset:
-                            counts[assign[w]] += 1
-                    if max(counts, default=0) > d1 - 1:
-                        return max(worst, max(counts)), False
+                    counts = Counter(assign[w] for w in g.neighbors(v) if w in yset)
+                    most = max(counts.values(), default=0)
+                    if most > d1 - 1:
+                        return max(worst, most), False
                 return worst, True
 
             assign, _, retries = _resample(
                 seed, lambda rng: {v: rng.randrange(2 * r) for v in y},
                 worst_part, "no balanced Y partition found for the interface",
                 "best worst-part statistic")
-            for (u, v), anchor in cross_x1:
-                other = v if anchor == u else u
-                colors[(u, v)] = 3 * r + 1 + assign[other]
-            groups: dict[int, list[int]] = defaultdict(list)
-            for v in y:
-                groups[assign[v]].append(v)
-            for i in sorted(groups):
-                parts[f"Y_{i}"] = tuple(sorted(groups[i]))
+            for e, _, b in cross_x1:
+                colors[e] = 3 * r + 1 + assign[b]
+            _indexed_parts(parts, "Y", assign)
         else:
             # Case 3.2: heavy Y0 toward X1 handled by an r-way split, the
             # remainder by 2r x 2r random blocks, one 2-color pair per
@@ -873,27 +861,22 @@ def gen2_coloring(g: Graph, h: Graph, r: int, seed: int = 0,
                 raise ConstructionError(
                     f"{len(y0)} heavy vertices contradict the edge precondition"
                 )
-            chunks = _chunk_partition(y0, r)
-            if any(len(ch) > n2 - 1 for ch in chunks):
+            if (len(y0) + r - 1) // r > n2 - 1:
                 raise ConstructionError("Y0 cannot be split into parts below n2")
-            part_of = {v: i for i, ch in enumerate(chunks) for v in ch}
-            y0set = set(y0)
+            part_of = {v: i % r for i, v in enumerate(y0)}
             block_edges = []
-            for (u, v), anchor in cross_x1:
-                other = v if anchor == u else u
-                if other in y0set:
-                    colors[(u, v)] = 3 * r + 1 + part_of[other]
+            for e, a, b in cross_x1:
+                if b in part_of:
+                    colors[e] = 3 * r + 1 + part_of[b]
                 else:
-                    block_edges.append(((u, v), anchor, other))
+                    block_edges.append((e, a, b))
             # Las Vegas double partition: every block spans fewer edges
             # than Beck's threshold, so Beck's split colors it
             quarter = _beck_bound(prof.beta)
 
             def peak_block_load(blocks) -> tuple[int, bool]:
                 ax, ay = blocks
-                loads: dict[tuple[int, int], int] = defaultdict(int)
-                for _, anchor, other in block_edges:
-                    loads[(ax[anchor], ay[other])] += 1
+                loads = Counter((ax[a], ay[b]) for _, a, b in block_edges)
                 peak = max(loads.values(), default=0)
                 return peak, peak < quarter
 
@@ -906,22 +889,18 @@ def gen2_coloring(g: Graph, h: Graph, r: int, seed: int = 0,
                 "best peak block load")
             # per-block degree-split 2-coloring on the pair owned by the
             # block's matching index
-            deg_in_block: dict[tuple[int, int, int], int] = defaultdict(int)
-            for (u, v), anchor, other in block_edges:
-                key = (ax[anchor], ay[other])
-                deg_in_block[(key[0], key[1], anchor)] += 1
-                deg_in_block[(key[0], key[1], other)] += 1
-            for (u, v), anchor, other in block_edges:
-                i, j = ax[anchor], ay[other]
-                mu = (i + j) % (2 * r)
-                base = 4 * r + 2 * mu
-                low_anchor = deg_in_block[(i, j, anchor)] < d1
-                low_other = deg_in_block[(i, j, other)] < d1
-                cross_split = low_anchor != low_other
-                colors[(u, v)] = base + 1 if cross_split else base + 2
-            for i in range(2 * r):
-                parts[f"X1_{i}"] = tuple(sorted(v for v in x1 if ax[v] == i))
-                parts[f"Y1_{i}"] = tuple(sorted(v for v in y1 if ay[v] == i))
+            deg_in_block: Counter = Counter()
+            for _, a, b in block_edges:
+                deg_in_block[ax[a], ay[b], a] += 1
+                deg_in_block[ax[a], ay[b], b] += 1
+            for e, a, b in block_edges:
+                i, j = ax[a], ay[b]
+                base = 4 * r + 2 * ((i + j) % (2 * r))
+                low_a = deg_in_block[i, j, a] < d1
+                low_b = deg_in_block[i, j, b] < d1
+                colors[e] = base + 1 if low_a != low_b else base + 2
+            _indexed_parts(parts, "X1", ax)
+            _indexed_parts(parts, "Y1", ay)
     plan = ColoringPlan(strategy="gen2", parts=parts, parameters=params,
                         retries=retries)
     return EdgeColoring(g, 8 * r, colors), plan
@@ -1069,31 +1048,47 @@ def lower_bound_value(h: Graph, r: int) -> tuple[Fraction, str]:
 # certification entry points
 
 
-# the palette of each strategy's certificates as a multiple of the r its
-# bound is stated for; the beck and double_star_2col bounds ignore r
-_PALETTE_FACTOR = {"beck": 1, "weakbip": 2, "gen2": 8, "double_star": 1,
-                   "double_star_2col": 1, "chi3": 3, "affine": 1}
+def _affine_on_complete_host(g: Graph, h: Graph, r: int, *_
+                             ) -> tuple[EdgeColoring, ColoringPlan]:
+    if g.edge_count != comb(g.vertex_count, 2):
+        raise DomainError("the affine strategy requires a complete host")
+    return affine_component_coloring(g.vertex_count, h.vertex_count, r)
 
-STRATEGIES = tuple(_PALETTE_FACTOR)
+
+# one row per strategy: (palette factor, edge threshold, construction).
+# The palette factor is a certificate's palette as a multiple of the r its
+# bound is stated for; the beck and double_star_2col bounds ignore r.  The
+# threshold takes (target, r), the construction (host, target, r, seed,
+# case3_split).
+_STRATEGY_TABLE = {
+    "beck": (1, lambda h, r: _beck_bound(beta(h)),
+             lambda g, h, r, *_: beck_coloring(g, h)),
+    "weakbip": (2, lambda h, r: _weakbip_bound(profile(h), r),
+                lambda g, h, r, *_: weakbip_coloring(g, h, r)),
+    "gen2": (8, lambda h, r: _gen2_bound(profile(h), r), gen2_coloring),
+    "double_star": (1, lambda h, r: _double_star_bound(*_double_star_shape(h), r),
+                    lambda g, h, r, *_: double_star_coloring(g, h, r)),
+    "double_star_2col": (1, lambda h, r: _double_star_2col_bound(*_double_star_shape(h)),
+                         lambda g, h, r, *_: double_star_2coloring(g, h)),
+    "chi3": (3, lambda h, r: _chi3_bound(h.edge_count, r),
+             lambda g, h, r, seed, _: chi3_coloring(g, h, r, seed)),
+    "affine": (1, lambda h, r: Fraction(comb(_affine_cells(r, h.vertex_count)[2], 2) + 1),
+               _affine_on_complete_host),
+}
+
+STRATEGIES = tuple(_STRATEGY_TABLE)
+
+
+def _strategy_row(strategy: str):
+    if strategy not in _STRATEGY_TABLE:
+        raise DomainError(f"unknown strategy {strategy!r}; choose from {STRATEGIES}")
+    return _STRATEGY_TABLE[strategy]
 
 
 def strategy_bound(strategy: str, target: Graph, r: int) -> Fraction:
-    """Edge threshold of a construction: hosts must stay strictly below it."""
-    if strategy == "beck":
-        return _beck_bound(beta(target))
-    if strategy == "double_star_2col":
-        return _double_star_2col_bound(*_double_star_shape(target))
-    if strategy == "double_star":
-        return _double_star_bound(*_double_star_shape(target), r)
-    if strategy == "chi3":
-        return _chi3_bound(target.edge_count, r)
-    if strategy == "weakbip":
-        return _weakbip_bound(profile(target), r)
-    if strategy == "gen2":
-        return _gen2_bound(profile(target), r)
-    if strategy == "affine":
-        return Fraction(comb(_affine_cells(r, target.vertex_count)[2], 2) + 1)
-    raise DomainError(f"unknown strategy {strategy!r}; choose from {STRATEGIES}")
+    """Edge threshold of a construction, from its row of the strategy
+    table: hosts must stay strictly below it."""
+    return _strategy_row(strategy)[1](target, r)
 
 
 def certificate_bound(theorem_tag: str, target: Graph, palette: int
@@ -1103,11 +1098,11 @@ def certificate_bound(theorem_tag: str, target: Graph, palette: int
     certificate can carry the tag, the target and the palette together:
     an unknown tag, a palette that is not a multiple of the strategy's
     factor, or a target or r outside the strategy's domain."""
-    factor = _PALETTE_FACTOR.get(theorem_tag)
-    if factor is None or palette % factor:
+    row = _STRATEGY_TABLE.get(theorem_tag)
+    if row is None or palette % row[0]:
         return None
     try:
-        return strategy_bound(theorem_tag, target, palette // factor)
+        return row[1](target, palette // row[0])
     except DomainError:
         return None
 
@@ -1116,9 +1111,11 @@ def certify(strategy: str, host: Graph, target: Graph, r: int, seed: int = 0,
             case3_split: str | None = None) -> Certificate:
     """Run a construction on the host and verify the result exactly.
 
-    The returned certificate's verdict is written only by the verifier;
-    "verified" therefore always means an exact search found no
-    monochromatic copy of the target.  If the construction left a copy,
+    The construction and the claimed bound are those of the strategy's row
+    of the strategy table, _STRATEGY_TABLE.  The returned certificate's
+    verdict is written only by the verifier; "verified" therefore always
+    means an exact search found no monochromatic copy of the target.  If
+    the construction left a copy,
     the host is recolored by an exhaustive target-free search with the
     same palette, the plan records the copy's color as
     primary_witness_color and "h_free_search" as fallback, and the
@@ -1128,26 +1125,8 @@ def certify(strategy: str, host: Graph, target: Graph, r: int, seed: int = 0,
         raise DomainError(f"need r >= 1, got {r}")
     if not is_connected(target) or target.edge_count == 0:
         raise DomainError("target must be connected with at least one edge")
-    if strategy == "beck":
-        coloring, plan = beck_coloring(host, target)
-    elif strategy == "double_star_2col":
-        coloring, plan = double_star_2coloring(host, target)
-    elif strategy == "double_star":
-        coloring, plan = double_star_coloring(host, target, r)
-    elif strategy == "chi3":
-        coloring, plan = chi3_coloring(host, target, r, seed)
-    elif strategy == "weakbip":
-        coloring, plan = weakbip_coloring(host, target, r)
-    elif strategy == "gen2":
-        coloring, plan = gen2_coloring(host, target, r, seed, case3_split)
-    elif strategy == "affine":
-        if host.edge_count != comb(host.vertex_count, 2):
-            raise DomainError("the affine strategy requires a complete host")
-        coloring, plan = affine_component_coloring(
-            host.vertex_count, target.vertex_count, r
-        )
-    else:
-        raise DomainError(f"unknown strategy {strategy!r}; choose from {STRATEGIES}")
+    coloring, plan = _strategy_row(strategy)[2](host, target, r, seed,
+                                                case3_split)
     cert = verify_certificate(Certificate(
         host=coloring.host,
         target=target,

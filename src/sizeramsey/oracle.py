@@ -311,6 +311,8 @@ def size_ramsey_exact(h: Graph, r: int, emax: int,
         raise DomainError(f"need r >= 1, got {r}")
     if emax < 1:
         raise DomainError(f"need emax >= 1, got {emax}")
+    if node_budget is not None and node_budget < 0:
+        raise DomainError(f"need node_budget >= 0, got {node_budget}")
     plans = _anchored_plans(h)
 
     def copy_search(coloring: EdgeColoring, target: Graph):

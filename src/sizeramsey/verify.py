@@ -807,6 +807,8 @@ def search_h_free_coloring(
     those of the search without the twin cuts, the lex-least target-free
     coloring in sorted-edge order; only the node count falls.
     """
+    if node_budget is not None and node_budget < 0:
+        raise DomainError(f"need node_budget >= 0, got {node_budget}")
     return _search_h_free(g, _anchored_plans(target), r, node_budget)
 
 

@@ -3,6 +3,7 @@ codes, and JSON side outputs."""
 
 import json
 import os
+import resource
 import subprocess
 import sys
 
@@ -30,12 +31,13 @@ from sizeramsey.cli import main, parse_graph_spec
 from sizeramsey.verify import certificate_to_json
 
 
-def run_module(*argv: str, timeout: float | None = None):
+def run_module(*argv: str, timeout: float | None = None, preexec_fn=None):
     """`python -m sizeramsey argv` in a child process on this package."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(sizeramsey.__file__)))
     return subprocess.run([sys.executable, "-m", "sizeramsey", *argv],
                           capture_output=True, text=True, timeout=timeout,
-                          env={**os.environ, "PYTHONPATH": src})
+                          env={**os.environ, "PYTHONPATH": src},
+                          preexec_fn=preexec_fn)
 
 
 def same(a: Graph, b: Graph) -> bool:
@@ -380,6 +382,30 @@ def test_palette_beyond_every_plane_is_exit_2_at_once(argv, message):
     run = run_module("certify", *argv, "-r", str(10 ** 18), timeout=10)
     assert run.returncode == 2 and run.stdout == ""
     assert "error:" in run.stderr and message in run.stderr
+
+
+def _cap_address_space():
+    # 1 GiB: a regression then fails in the child with a MemoryError
+    # instead of exhausting the machine
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+@pytest.mark.parametrize("argv", [
+    ["certify", "--strategy", "weakbip", "--target", "cycle:4", "-r", "100000"],
+    ["embed", "--tree", "path:30", "-r", "1000"],
+], ids=["certify", "embed"])
+def test_hosts_too_large_to_build_are_exit_2(argv):
+    # 10^10 and 9 * 10^8 edges, refused before anything is allocated
+    run = run_module(*argv, timeout=10, preexec_fn=_cap_address_space)
+    assert run.returncode == 2 and run.stdout == ""
+    assert run.stderr.startswith("error:") and "--host" in run.stderr
+
+
+def test_exact_negative_budget_is_exit_2(capsys):
+    assert main(["exact", "--target", "path:3", "--emax", "3",
+                 "--budget", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "node_budget" in captured.err
 
 
 def test_edgeless_affine_host_at_a_huge_palette_is_certified_at_once():

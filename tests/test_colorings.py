@@ -267,23 +267,20 @@ def test_gen2_rejects_stars():
 # checked unaided by certify's fallback
 GEN2_PATHS = [
     ("EkE?", 3, parse_graph6("HPhoP?c"), 0, None, "2",
-     {"X": 8, "Y": 1, "Y_0": 1, "Y_1": 0, "Y_2": 0}, 7),
+     {"X": 8, "Y": 1, "Y_0": 1}, 7),
     ("HhOK?C@", 2, complete_bipartite(2, 4), 0, None, "3.1",
      {"X": 4, "Y": 2, "X0": 0, "X1": 4, "Y_3": 2}, 7),
     ("JhOK?C@?_?_", 2, parse_graph6("E\\Jo"), 442, "3.2", "3.2",
      {"X": 4, "Y": 2, "X0": 1, "X1": 3, "Y0": 0, "Y1": 2,
-      "X1_0": 0, "Y1_0": 0, "X1_1": 0, "Y1_1": 0,
-      "X1_2": 1, "Y1_2": 0, "X1_3": 2, "Y1_3": 2}, 9),
+      "X1_2": 1, "X1_3": 2, "Y1_3": 2}, 9),
     ("Ji_GS?@?S??", 2, parse_graph6("F~~~g"), 123, "3.2", "3.2",
      {"X": 2, "Y": 5, "X0": 0, "X1": 2, "Y0": 0, "Y1": 5,
-      "X1_0": 1, "Y1_0": 3, "X1_1": 0, "Y1_1": 0,
-      "X1_2": 1, "Y1_2": 1, "X1_3": 0, "Y1_3": 1}, 9),
+      "X1_0": 1, "Y1_0": 3, "X1_2": 1, "Y1_2": 1, "Y1_3": 1}, 9),
     # the 4-arm spider on K_{2,6}: Y = Y0 = (0, 1), both heavy toward X1,
     # so the r-way split of Y0 colors the whole interface from 3r + 1 on
     ("HkE?K?@", 2, complete_bipartite(2, 6), 0, "3.2", "3.2",
      {"X": 6, "Y": 2, "X0": 0, "X1": 6, "Y0": 2, "Y1": 0,
-      "X1_0": 1, "Y1_0": 0, "X1_1": 0, "Y1_1": 0,
-      "X1_2": 1, "Y1_2": 0, "X1_3": 4, "Y1_3": 0}, 7),
+      "X1_0": 1, "X1_2": 1, "X1_3": 4}, 7),
 ]
 
 
@@ -301,6 +298,23 @@ def test_gen2_colors_the_x_to_y_interface(target6, r, host, seed, split, case,
     cert = certify("gen2", host, target, r, seed=seed, case3_split=split)
     assert cert.verdict == "verified"
     assert "fallback" not in cert.plan.parameters
+
+
+@pytest.mark.parametrize("host, target6, seed, split", [
+    (complete_graph(11), "IsaCA@?O?", 392609544, None),
+    (complete_bipartite(2, 6), "HkE?K?@", 0, "3.2"),
+], ids=["2", "3.2"])
+def test_gen2_parts_do_not_depend_on_r(host, target6, seed, split):
+    # indexed parts are written only when non-empty, so a huge palette adds
+    # no parts, and the certificate grows only by the digits of r
+    from sizeramsey import certificate_to_json
+
+    small, large = (certify("gen2", host, parse_graph6(target6), r, seed=seed,
+                            case3_split=split) for r in (4, 10 ** 5))
+    assert small.plan.parameters["case"] == large.plan.parameters["case"]
+    assert sorted(small.plan.parts) == sorted(large.plan.parts)
+    growth = len(certificate_to_json(large)) - len(certificate_to_json(small))
+    assert 0 < growth < 40
 
 
 def test_chi3_colors_the_v0_interface():

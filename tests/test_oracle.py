@@ -16,6 +16,7 @@ from sizeramsey import (
     arrows,
     canonical_form,
     complete_bipartite,
+    complete_graph,
     cross_check_bounds,
     cycle_graph,
     embed_host,
@@ -292,6 +293,9 @@ def test_arrows_budget_and_domain():
     assert res.status == "unknown" and res.witness is None
     with pytest.raises(DomainError):
         arrows(star(2), star(2), 0)
+    assert arrows(complete_graph(5), path_graph(3), 2, node_budget=0).status == "unknown"
+    with pytest.raises(DomainError, match="node_budget"):
+        arrows(complete_graph(5), path_graph(3), 2, node_budget=-5)
 
 
 UPPER_BOUND_TREES = {"P4": path_graph(4), "P5": path_graph(5),
@@ -365,6 +369,8 @@ def test_exact_budget_collects_unknowns():
     # the 2-edge host is ruled out by proof (two colors of one edge each),
     # so the undecided 3-edge hosts set the floor
     assert res.lower == 3
+    with pytest.raises(DomainError, match="node_budget"):
+        size_ramsey_exact(star(2), 2, emax=3, node_budget=-1)
 
 
 @pytest.mark.parametrize("target, r", [(star(2), 6), (path_graph(4), 2)],

@@ -343,6 +343,8 @@ def test_search_h_free_budget():
         complete_graph(6), cycle_graph(4), 3, node_budget=5)
     assert status == "unknown"
     assert nodes >= 5
+    with pytest.raises(DomainError, match="node_budget"):
+        search_h_free_coloring(complete_graph(6), cycle_graph(4), 3, node_budget=-1)
 
 
 def test_search_h_free_witness_is_checked():
