@@ -1125,15 +1125,15 @@ def certify(strategy: str, host: Graph, target: Graph, r: int, seed: int = 0,
         raise DomainError(f"need r >= 1, got {r}")
     if not is_connected(target) or target.edge_count == 0:
         raise DomainError("target must be connected with at least one edge")
-    coloring, plan = _strategy_row(strategy)[2](host, target, r, seed,
-                                                case3_split)
+    _, bound, construct = _strategy_row(strategy)
+    coloring, plan = construct(host, target, r, seed, case3_split)
     cert = verify_certificate(Certificate(
         host=coloring.host,
         target=target,
         r=coloring.r,
         coloring=coloring,
         plan=plan,
-        claimed_bound=strategy_bound(strategy, target, r),
+        claimed_bound=bound(target, r),
         theorem_tag=strategy,
         seed=seed,
     ))
