@@ -226,13 +226,28 @@ def _auto_host(strategy: str, target: Graph, r: int, seed: int) -> Graph:
     while n * (n - 1) // 2 < e_host:
         n += 1
     rng = random.Random(seed)
-    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
-    g = Graph(n, rng.sample(pairs, e_host))
+    g = Graph(n, _sample_pairs(rng, n, e_host))
     for _ in range(1000):
         if is_connected(g):
             break
-        g = Graph(n, rng.sample(pairs, e_host))
+        g = Graph(n, _sample_pairs(rng, n, e_host))
     return g
+
+
+def _sample_pairs(rng: random.Random, n: int, k: int) -> list[tuple[int, int]]:
+    """rng.sample of k pairs u < v < n listed row by row, drawn as indices
+    and decoded, so that the n(n-1)/2 pairs are never listed.  sample
+    picks by position, so the draw is the one from the list."""
+    total = n * (n - 1) // 2
+    out = []
+    for index in rng.sample(range(total), k):
+        # t counts back from the last pair.  Row n - 2 - j and the rows
+        # below it hold (j + 1)(j + 2)/2 pairs, so row n - 2 - j holds t
+        # for the least j with t below that count
+        t = total - 1 - index
+        j = (math.isqrt(8 * t + 1) - 1) // 2
+        out.append((n - 2 - j, n - 1 - (t - j * (j + 1) // 2)))
+    return out
 
 
 def _cmd_certify(args) -> int:

@@ -209,7 +209,7 @@ def _exhaustive_proper(edges: list[tuple[int, int]], palette: int
         return None
 
     def ends_alone(adj, u, v) -> bool:
-        return len(adj[u]) == 1 and len(adj[v]) == 1
+        return adj[u].bit_count() == 1 and adj[v].bit_count() == 1
 
     _, found, _ = backtrack_edge_coloring(edges, palette, ends_alone)
     return found
@@ -455,16 +455,18 @@ def _component_bounded_search(edges: list[tuple[int, int]], num_colors: int,
     200,000 search nodes."""
 
     def component_small(adj, u, v) -> bool:
-        seen = {u}
-        stack = [u]
-        while stack:
-            x = stack.pop()
-            for y in adj[x]:
-                if y not in seen:
-                    seen.add(y)
-                    if len(seen) >= n_bound:
-                        return False
-                    stack.append(y)
+        # seen and frontier are vertex masks; the frontier's vertices are
+        # seen but their neighbors not yet added
+        seen = frontier = 1 << u
+        while frontier:
+            low = frontier & -frontier
+            frontier ^= low
+            new = adj[low.bit_length() - 1] & ~seen
+            if new:
+                seen |= new
+                if seen.bit_count() >= n_bound:
+                    return False
+                frontier |= new
         return True
 
     _, found, _ = backtrack_edge_coloring(edges, num_colors, component_small,

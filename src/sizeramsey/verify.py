@@ -18,6 +18,16 @@ under the target's automorphisms, not one per edge and orientation:
 anchors in one orbit find a copy through the same host edges (see
 _anchored_plans).
 
+Two kernels run the plans, and neither calls the other.  The coloring
+search holds its color classes as bitmasks and embeds through the new
+edge with _embed_through_edge: candidate pools are ANDs of neighbor
+masks, as in Ullmann's bit-vector refinement (J. ACM 1976).
+find_subgraph and mono_copy, which re-checks every free witness of the
+coloring search, run _backtrack_embed on adjacency sets.  Both kernels
+return the lex-least embedding, and the test suite compares them copy
+for copy; a fault in the search's kernel then meets a check that does
+not share it.
+
 Twins are target vertices with the same open neighborhood (false twins,
 such as the leaves of one star center) or the same closed neighborhood
 (true twins, such as the vertices of a clique).  Swapping two twins is a
@@ -241,12 +251,70 @@ def _embed_in_adjacency(
     unanchored plan searches for any copy; the anchored plans with prefix
     (u, v) search for a copy through the host edge uv, one oriented target
     edge of each automorphism orbit tried against it.
+
+    Its caller is _mono_copy, the re-check of every free witness; the
+    target-free coloring search runs _embed_through_edge instead, so the
+    check shares no embedding code with the search it checks.
     """
     for plan in plans:
         emb = _backtrack_embed(plan, host_adj, host_vertices, prefix)
         if emb is not None:
             return emb
     return None
+
+
+def _embed_through_edge(plan: _Plan, adj: Sequence[int], u: int, v: int
+                        ) -> Embedding | None:
+    """The embedding _backtrack_embed(plan, set_adj, (), (u, v)) returns,
+    with the host given as bitmasks: bit w of adj[x] is set for each
+    neighbor w of x, and uv is an edge.  The kernel of the target-free
+    coloring search, in the manner of Ullmann's bit-vector refinement
+    (J. ACM 1976).
+
+    The plan is anchored, so its first two positions are adjacent and take
+    u and v.  The target is connected, so every later position has a
+    placed parent, and its candidates are the common neighbors of its
+    parents' images less the used ones, above the image of its last
+    earlier twin when that twin lies after the anchor.  Candidates are
+    taken in increasing order, each needing at least the position's
+    target degree, from an explicit stack of the remaining pools.
+    """
+    order, parents, need, twin = plan
+    if adj[u].bit_count() < need[0] or adj[v].bit_count() < need[1]:
+        return None
+    n = len(order)
+    images = [u, v] + [-1] * (n - 2)
+    used = (1 << u) | (1 << v)
+    pools: list[int] = []  # pools[j]: the untried candidates of position j + 2
+    i = 2
+    while i < n:
+        if i - 2 == len(pools):
+            ps = parents[i]
+            pool = adj[images[ps[0]]] & ~used
+            for p in ps[1:]:
+                pool &= adj[images[p]]
+            t = twin[i]
+            if t >= 2:
+                pool &= -(2 << images[t])
+        else:
+            # the deeper search below this position's image failed
+            pool = pools.pop()
+            used ^= 1 << images[i]
+        while pool:
+            low = pool & -pool
+            pool ^= low
+            hv = low.bit_length() - 1
+            if adj[hv].bit_count() >= need[i]:
+                pools.append(pool)
+                images[i] = hv
+                used |= low
+                i += 1
+                break
+        else:
+            if i == 2:
+                return None
+            i -= 1
+    return {order[j]: images[j] for j in range(n)}
 
 
 def find_subgraph(host: Graph, target: Graph) -> Embedding | None:
@@ -665,7 +733,10 @@ def backtrack_edge_coloring(
 ) -> tuple[str, dict[tuple[int, int], int] | None, int]:
     """Backtracking search for an r-coloring of edges, in the given order,
     such that admissible(adj, u, v) holds each time an edge (u, v) joins a
-    color class whose adjacency (the edge included) is adj.
+    color class whose adjacency (the edge included) is adj.  adj is a list
+    of bitmasks indexed by vertex, 1 plus the largest endpoint long: bit w
+    of adj[x] is set while xw has that color.  The predicate must not
+    change it.
 
     Returns (status, coloring, nodes) where status is 'free' (coloring
     found), 'arrows' (search space exhausted, none exists), or 'unknown'
@@ -702,7 +773,9 @@ def backtrack_edge_coloring(
     cuts returns the same result with them.
     """
     m = len(edges)
-    class_adj: list[dict[int, set[int]]] = [dict() for _ in range(r + 1)]
+    nv = 1 + max((max(e) for e in edges), default=-1)
+    # value precedence puts at most m colors in use
+    class_adj = [[0] * nv for _ in range(min(r, m) + 1)]
     colors = [0] * m  # color currently placed on each edge, 0 for none
     used = [0] * (m + 1)  # used[i]: largest color among edges[:i]
     # watch[i]: the swaps to rescan when edge i takes a color
@@ -717,8 +790,9 @@ def backtrack_edge_coloring(
         c = colors[i]
         if c:
             # everything after edge i failed under color c; take it back
-            class_adj[c][u].discard(v)
-            class_adj[c][v].discard(u)
+            adj = class_adj[c]
+            adj[u] ^= 1 << v
+            adj[v] ^= 1 << u
         limit = min(used[i] + 1, r)
         while c < limit:
             c += 1
@@ -730,14 +804,14 @@ def backtrack_edge_coloring(
                                 for pairs in watch[i]):
                 continue
             adj = class_adj[c]
-            adj.setdefault(u, set()).add(v)
-            adj.setdefault(v, set()).add(u)
+            adj[u] ^= 1 << v
+            adj[v] ^= 1 << u
             if admissible(adj, u, v):
                 used[i + 1] = max(used[i], c)
                 i += 1
                 break
-            adj[u].discard(v)
-            adj[v].discard(u)
+            adj[u] ^= 1 << v
+            adj[v] ^= 1 << u
         else:
             colors[i] = 0
             i -= 1
@@ -860,9 +934,10 @@ def _search_h_free(g: Graph, plans: list[_Plan], r: int,
     """search_h_free_coloring over the target's _anchored_plans."""
 
     def no_copy_through(adj, u, v) -> bool:
-        # the target is connected, so every target vertex after the anchored
-        # pair draws its candidates from placed neighbors: no vertex list
-        return _embed_in_adjacency(adj, (), plans, (u, v)) is None
+        for plan in plans:
+            if _embed_through_edge(plan, adj, u, v) is not None:
+                return False
+        return True
 
     # one color leaves every coloring fixed by every swap: nothing to cut
     swaps = _host_twin_swaps(g) if r > 1 else []

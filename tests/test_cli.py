@@ -3,6 +3,7 @@ codes, and JSON side outputs."""
 
 import json
 import os
+import random
 import resource
 import subprocess
 import sys
@@ -27,7 +28,7 @@ from sizeramsey import (
     star,
 )
 from sizeramsey import colorings
-from sizeramsey.cli import main, parse_graph_spec
+from sizeramsey.cli import _sample_pairs, main, parse_graph_spec
 from sizeramsey.verify import certificate_to_json
 
 
@@ -399,6 +400,21 @@ def test_hosts_too_large_to_build_are_exit_2(argv):
     run = run_module(*argv, timeout=10, preexec_fn=_cap_address_space)
     assert run.returncode == 2 and run.stdout == ""
     assert run.stderr.startswith("error:") and "--host" in run.stderr
+
+
+@pytest.mark.parametrize("n, k, seed", [
+    (2, 1, 0), (4, 3, 1), (5, 10, 2), (7, 5, 3), (7, 21, 4), (8, 6, 5),
+    (30, 100, 6), (50, 300, 7), (200, 5, 8),
+])
+def test_host_pairs_are_drawn_as_from_the_list_of_pairs(n, k, seed):
+    # random.sample copies a small population into a pool, as for the
+    # first five lists of at most 21 pairs, and keeps a set of picked
+    # positions for a large one, as for the last two.  Three draws from one
+    # generator stand for _auto_host's retries
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    got, want = random.Random(seed), random.Random(seed)
+    for _ in range(3):
+        assert _sample_pairs(got, n, k) == want.sample(pairs, k)
 
 
 def test_exact_negative_budget_is_exit_2(capsys):

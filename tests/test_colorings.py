@@ -1,5 +1,6 @@
 """The lower-bound constructions and their certificates."""
 
+import itertools
 import random
 import time
 import warnings
@@ -37,6 +38,8 @@ from sizeramsey import (
     vizing_bucket_coloring,
     weakbip_coloring,
 )
+
+from sizeramsey.colorings import _component_bounded_search, _exhaustive_proper
 
 import helpers
 
@@ -121,6 +124,69 @@ def test_vizing_bucket_is_deterministic():
     a, _ = vizing_bucket_coloring(g, x, 3, 2)
     b, _ = vizing_bucket_coloring(g, x, 3, 2)
     assert a.colors == b.colors
+
+
+# ---------------------------------------------------------------------------
+# the exhaustive searches, against brute force
+
+
+def _seeded_edge_lists(seed: int, count: int) -> list[list[tuple[int, int]]]:
+    # 1 to 8 edges on labels 0..9, in a shuffled order, so that some labels
+    # go unused and the search does not meet the edges sorted
+    rng = random.Random(seed)
+    pairs = [(u, v) for u in range(10) for v in range(u + 1, 10)]
+    return [rng.sample(pairs, rng.randint(1, 8)) for _ in range(count)]
+
+
+def _first_in_product_order(edges, palette, ok):
+    # value precedence keeps the least coloring that meets a predicate
+    # closed under renaming colors, so brute force returns the search's
+    for colors in itertools.product(range(1, palette + 1), repeat=len(edges)):
+        found = dict(zip(edges, colors))
+        if ok(found):
+            return found
+    return None
+
+
+def _largest_class_component(found) -> int:
+    # union-find over each color class separately
+    parent = {}
+
+    def root(x):
+        while parent.setdefault(x, x) != x:
+            x = parent[x]
+        return x
+
+    for (u, v), c in found.items():
+        parent[root((c, u))] = root((c, v))
+    sizes: dict = {}
+    for x in list(parent):
+        sizes[root(x)] = sizes.get(root(x), 0) + 1
+    return max(sizes.values())
+
+
+def test_exhaustive_proper_is_the_first_proper_coloring():
+    outcomes = set()
+    for k, edges in enumerate(_seeded_edge_lists(21, 40)):
+        palette = 2 + k % 2
+        want = _first_in_product_order(edges, palette,
+                                       lambda found: proper_on(found, edges))
+        assert _exhaustive_proper(edges, palette) == want, (edges, palette)
+        outcomes.add(want is None)
+    assert outcomes == {True, False}
+
+
+def test_component_bounded_search_is_the_first_bounded_coloring():
+    outcomes = set()
+    for k, edges in enumerate(_seeded_edge_lists(22, 40)):
+        palette, n_bound = 2 + k % 2, 3 + k % 3
+        want = _first_in_product_order(
+            edges, palette,
+            lambda found: _largest_class_component(found) < n_bound)
+        assert _component_bounded_search(edges, palette, n_bound) == want, (
+            edges, palette, n_bound)
+        outcomes.add(want is None)
+    assert outcomes == {True, False}
 
 
 # ---------------------------------------------------------------------------

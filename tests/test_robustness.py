@@ -4,7 +4,9 @@ The graph6 and edge-list parsers and the certificate loader raise only
 package errors on any input, fuzzed here with Hypothesis in derandomized
 mode so every run draws the same cases.  No check in the package lives in
 an assert statement, which python -O strips, and no function but one
-whose depth is bounded by its input's nesting calls itself.
+whose depth is bounded by its input's nesting calls itself.  The coloring
+search's embedding kernel and the set kernel that re-checks its witnesses
+reach no code of each other.
 """
 
 import ast
@@ -225,3 +227,37 @@ def test_no_public_name_is_exported_by_two_modules():
             for public in getattr(module, "__all__", ()):
                 owners.setdefault(public, []).append(name)
     assert {k: v for k, v in owners.items() if len(v) > 1} == {}
+
+
+def _named_in_verify() -> dict[str, set[str]]:
+    # for each module-level function of verify.py, the names its body reads
+    # or calls, attributes included
+    path = os.path.join(os.path.dirname(sizeramsey.__file__), "verify.py")
+    with open(path, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read(), filename=path)
+    return {fn.name: {node.id if isinstance(node, ast.Name) else node.attr
+                      for node in ast.walk(fn)
+                      if isinstance(node, (ast.Name, ast.Attribute))}
+            for fn in tree.body if isinstance(fn, ast.FunctionDef)}
+
+
+def test_the_search_kernel_and_its_checker_share_no_embedding_code():
+    # the coloring search embeds through _embed_through_edge; every free
+    # witness is re-checked through the set kernel.  Neither reaches the
+    # other, directly or through another function of the module
+    named = _named_in_verify()
+
+    def reach(start: str) -> set[str]:
+        seen, stack = set(), [start]
+        while stack:
+            for callee in named[stack.pop()] & named.keys():
+                if callee not in seen:
+                    seen.add(callee)
+                    stack.append(callee)
+        return seen
+
+    assert not reach("_embed_through_edge") & {"_backtrack_embed",
+                                               "_embed_in_adjacency"}
+    for checker in ("find_subgraph", "mono_copy", "_mono_copy",
+                    "_embed_in_adjacency", "_backtrack_embed"):
+        assert "_embed_through_edge" not in reach(checker) | named[checker], checker

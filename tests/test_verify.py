@@ -429,12 +429,19 @@ def test_orbit_plans_find_a_copy_through_an_edge_exactly_when_all_do():
             # a random color class of a partial coloring of g
             adj = verify._class_adjacency(
                 e for e in g.sorted_edges() if rng.random() < 0.8)
+            # the same class as the coloring search holds it, bitmasks by vertex
+            masks = [sum(1 << w for w in adj.get(x, ()))
+                     for x in range(g.vertex_count)]
             for u in adj:
                 for v in adj[u]:
                     kept = verify._embed_in_adjacency(adj, (), reps, (u, v))
                     full = verify._embed_in_adjacency(adj, (), every, (u, v))
                     assert (kept is None) == (full is None), (
                         target.sorted_edges(), g.sorted_edges(), u, v)
+                    # the search's mask kernel returns the set kernel's copy
+                    assert next(filter(None, (
+                        verify._embed_through_edge(plan, masks, u, v)
+                        for plan in reps)), None) == kept
                     outcomes.add(kept is None)
     assert outcomes == {True, False}
 
