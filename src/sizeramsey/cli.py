@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import random
 import sys
 from fractions import Fraction
@@ -57,6 +58,12 @@ from .graphs import (
     star,
 )
 from .oracle import cross_check_bounds, size_ramsey_exact
+from .verify import (
+    EdgeColoring,
+    certificate_from_json,
+    certificate_to_json,
+    verify_certificate,
+)
 
 __all__ = ["main", "parse_graph_spec"]
 
@@ -71,34 +78,48 @@ def _ints(text: str, count: int, what: str) -> list[int]:
         raise DomainError(f"{what} needs integers, got {text!r}")
 
 
+# graphs the CLI builds itself, from a spec or as a default host, stop at
+# this many edges (and, for a spec, vertices): more would exhaust memory
+# before any search began
+MAX_BUILT_HOST_EDGES = 10 ** 6
+
+
+# each spec family: (how many integers it takes, its builder, the vertex
+# and edge counts of the graph built from nonnegative integers; the
+# builders reject negative ones themselves, before allocating anything)
+_SPEC_FAMILIES = {
+    "path": (1, path_graph, lambda n: (n, n - 1)),
+    "star": (1, star, lambda m: (m + 1, m)),
+    "dstar": (2, make_double_star, lambda n, m: (n + m + 2, n + m + 1)),
+    "cycle": (1, cycle_graph, lambda n: (n, n)),
+    "complete": (1, complete_graph, lambda n: (n, n * (n - 1) // 2)),
+    "biclique": (2, complete_bipartite, lambda a, b: (a + b, a * b)),
+    "empty": (1, empty_graph, lambda n: (n, 0)),
+}
+
+
 def parse_graph_spec(spec: str, fmt: str = "graph6") -> Graph:
-    """Build a graph from a spec string, a file path, or raw graph6."""
+    """Build a graph from a spec string, a file path, or raw graph6.  A
+    spec for more than MAX_BUILT_HOST_EDGES vertices or edges is refused
+    before it is built."""
     if ":" in spec:
         head, _, rest = spec.partition(":")
-        if head == "path":
-            return path_graph(_ints(rest, 1, "path")[0])
-        if head == "star":
-            return star(_ints(rest, 1, "star")[0])
-        if head == "dstar":
-            n, m = _ints(rest, 2, "dstar")
-            return make_double_star(n, m)
-        if head == "cycle":
-            return cycle_graph(_ints(rest, 1, "cycle")[0])
-        if head == "complete":
-            return complete_graph(_ints(rest, 1, "complete")[0])
-        if head == "biclique":
-            a, b = _ints(rest, 2, "biclique")
-            return complete_bipartite(a, b)
-        if head == "empty":
-            return empty_graph(_ints(rest, 1, "empty")[0])
+        if head in _SPEC_FAMILIES:
+            count, build, size = _SPEC_FAMILIES[head]
+            ints = _ints(rest, count, head)
+            if min(ints) >= 0:
+                n, e = size(*ints)
+                if max(n, e) > MAX_BUILT_HOST_EDGES:
+                    raise DomainError(
+                        f"{spec!r} has {n} vertices and {e} edges, over the "
+                        f"CLI's limit of {MAX_BUILT_HOST_EDGES} for either")
+            return build(*ints)
         if head == "g6":
             return parse_graph6(rest)
         raise DomainError(
             f"unknown graph spec {spec!r}; use path:N, star:M, dstar:N,M, "
             "cycle:N, complete:N, biclique:A,B, empty:N, g6:STRING, or a file path"
         )
-    import os
-
     if os.path.exists(spec):
         text = _read_text(spec)
         if fmt == "edgelist":
@@ -193,11 +214,6 @@ def _cmd_analyze(args) -> int:
     return 0
 
 
-# hosts the CLI builds itself stop at this many edges: more would exhaust
-# memory before any search began
-MAX_BUILT_HOST_EDGES = 10 ** 6
-
-
 def _require_buildable(edges: int) -> None:
     if edges > MAX_BUILT_HOST_EDGES:
         raise DomainError(f"a host of {edges} edges is over the CLI's limit of "
@@ -258,8 +274,6 @@ def _cmd_certify(args) -> int:
         host = _auto_host(args.strategy, target, args.r, args.seed)
     cert = certify(args.strategy, host, target, args.r, seed=args.seed,
                    case3_split=args.case3_split)
-    from .verify import certificate_to_json
-
     _write_text(certificate_to_json(cert), args.out)
     print(f"strategy: {cert.theorem_tag}", file=sys.stderr)
     print(f"host: {cert.host.vertex_count} vertices, {cert.host.edge_count} edges "
@@ -270,8 +284,6 @@ def _cmd_certify(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    from .verify import certificate_from_json, verify_certificate
-
     cert = certificate_from_json(_read_text(args.certificate))
     fresh = verify_certificate(cert)
     stored = cert.verdict
@@ -296,8 +308,6 @@ def _cmd_embed(args) -> int:
     else:
         _require_buildable(upper_bound_value(tree, r))
         host = embed_host(tree, r)
-    from .verify import EdgeColoring
-
     coloring = EdgeColoring(host, r)  # rejects r < 1 before any draw
     rng = random.Random(args.seed)
     for u, v in host.sorted_edges():

@@ -132,6 +132,8 @@ def complete_graph(n: int) -> Graph:
 
 def complete_bipartite(a: int, b: int) -> Graph:
     """K_{a,b} with part 0..a-1 on one side and a..a+b-1 on the other."""
+    if a < 0 or b < 0:
+        raise DomainError(f"biclique sides must be nonnegative, got ({a}, {b})")
     return Graph(a + b, [(u, a + v) for u in range(a) for v in range(b)])
 
 

@@ -35,8 +35,6 @@ from .verify import (
     _mono_copy,
     _search_h_free,
     _twin_labels,
-    mono_copy,
-    search_h_free_coloring,
 )
 
 __all__ = [
@@ -245,18 +243,19 @@ def arrows(g: Graph, h: Graph, r: int, node_budget: int | None = None
     """
     if r < 1:
         raise DomainError(f"need r >= 1, got {r}")
-    return _arrows(g, h, r, search_h_free_coloring(g, h, r, node_budget),
-                   mono_copy)
+    return _arrows(g, h, r, _anchored_plans(h), node_budget)
 
 
-def _arrows(g: Graph, h: Graph, r: int, found, copy_search) -> ArrowingResult:
-    """The result of a finished target-free coloring search of g, found =
-    (status, colors, nodes), with a free witness re-checked by
-    copy_search(coloring, h), a search for a monochromatic copy."""
-    status, colors, nodes = found
+def _arrows(g: Graph, h: Graph, r: int, plans, node_budget: int | None
+            ) -> ArrowingResult:
+    """arrows over h's compiled _anchored_plans.  The target-free coloring
+    search runs on the mask kernel; a free witness is re-checked by
+    _mono_copy on the set kernel, with plans[0] run without prescribed
+    images: a complete search for a copy that compiles nothing."""
+    status, colors, nodes = _search_h_free(g, plans, r, node_budget)
     if status == "free":
         witness = EdgeColoring(g, r, colors)
-        if copy_search(witness, h) is not None:
+        if _mono_copy(witness, h, plans[0]) is not None:
             raise AssertionError(
                 "free witness contains a monochromatic copy; searcher bug"
             )
@@ -298,8 +297,8 @@ def size_ramsey_exact(h: Graph, r: int, emax: int,
     color holds a copy of h.  The search starts at r(e(h)-1)+1 edges; the
     smaller levels are still grown, as parents of the next.
     The target's anchored plans, one per orbit of its oriented edges, are
-    compiled once per call, and every host goes through the search and the
-    re-check of a free witness that arrows runs, over those plans.
+    compiled once per call, and every host goes through _arrows, the
+    search and free-witness re-check of arrows, over those plans.
 
     Budget-limited hosts are collected rather than guessed at: the result
     is only "exact" when every smaller host was definitively shown not to
@@ -314,13 +313,6 @@ def size_ramsey_exact(h: Graph, r: int, emax: int,
     if node_budget is not None and node_budget < 0:
         raise DomainError(f"need node_budget >= 0, got {node_budget}")
     plans = _anchored_plans(h)
-
-    def copy_search(coloring: EdgeColoring, target: Graph):
-        # the first anchored plan, that of h's first sorted edge, run
-        # without prescribed images is a complete search for a copy, so the
-        # re-check compiles nothing either
-        return _mono_copy(coloring, target, plans[:1])
-
     start = _pigeonhole_bound(h.edge_count, r)
     total_nodes = 0
     unknown: list[tuple[int, str]] = []
@@ -330,8 +322,7 @@ def size_ramsey_exact(h: Graph, r: int, emax: int,
         if e < start:
             continue
         for g in graphs:
-            res = _arrows(g, h, r, _search_h_free(g, plans, r, node_budget),
-                          copy_search)
+            res = _arrows(g, h, r, plans, node_budget)
             total_nodes += res.nodes
             if res.status == "arrows":
                 found_e = e

@@ -6,7 +6,7 @@ plain backtracking algorithm over a connectivity-preserving vertex order
 with degree pruning; it is exact and is itself cross-checked against a
 brute-force oracle in the test suite.
 
-A target and a vertex order are compiled into a plan (the order, each
+A target and one vertex order are compiled into a plan (the order, each
 position's earlier neighbors, each position's degree, each position's
 last earlier twin) before any search runs it, and the search may
 prescribe the images of the plan's first positions.  The target-free
@@ -22,11 +22,11 @@ Two kernels run the plans, and neither calls the other.  The coloring
 search holds its color classes as bitmasks and embeds through the new
 edge with _embed_through_edge: candidate pools are ANDs of neighbor
 masks, as in Ullmann's bit-vector refinement (J. ACM 1976).
-find_subgraph and mono_copy, which re-checks every free witness of the
-coloring search, run _backtrack_embed on adjacency sets.  Both kernels
-return the lex-least embedding, and the test suite compares them copy
-for copy; a fault in the search's kernel then meets a check that does
-not share it.
+find_subgraph and _mono_copy, which re-checks every free witness of the
+coloring search, call _backtrack_embed on adjacency sets, one plan per
+call.  Both kernels return the lex-least embedding, and the test suite
+compares them copy for copy; a fault in the search's kernel then meets a
+check that does not share it.
 
 Twins are target vertices with the same open neighborhood (false twins,
 such as the leaves of one star center) or the same closed neighborhood
@@ -146,25 +146,22 @@ def _twin_labels(g: Graph) -> list[int]:
     return label
 
 
-def _compile_plans(target: Graph, orders: Iterable[Sequence[int]]) -> list[_Plan]:
-    """The plans of target for the given orders.  They depend only on the
-    target and the orders, so a search that runs one order many times
+def _compile_plan(target: Graph, order: Sequence[int]) -> _Plan:
+    """The plan of target for the given order.  It depends only on the
+    target and the order, so a search that runs one order many times
     compiles it once."""
     tadj = target.adj
     label = _twin_labels(target)
-    plans = []
-    for order in orders:
-        pos = {v: i for i, v in enumerate(order)}
-        parents = [[pos[w] for w in tadj[tv] if pos[w] < i]
-                   for i, tv in enumerate(order)]
-        # twins form classes, so the last earlier one is the whole constraint
-        twin: list[int] = []
-        last: dict[int, int] = {}
-        for i, tv in enumerate(order):
-            twin.append(last.get(label[tv], -1))
-            last[label[tv]] = i
-        plans.append((order, parents, [len(tadj[tv]) for tv in order], twin))
-    return plans
+    pos = {v: i for i, v in enumerate(order)}
+    parents = [[pos[w] for w in tadj[tv] if pos[w] < i]
+               for i, tv in enumerate(order)]
+    # twins form classes, so the last earlier one is the whole constraint
+    twin: list[int] = []
+    last: dict[int, int] = {}
+    for i, tv in enumerate(order):
+        twin.append(last.get(label[tv], -1))
+        last[label[tv]] = i
+    return order, parents, [len(tadj[tv]) for tv in order], twin
 
 
 def _backtrack_embed(
@@ -239,30 +236,6 @@ def _backtrack_embed(
             i -= 1
 
 
-def _embed_in_adjacency(
-    host_adj,
-    host_vertices: Sequence[int],
-    plans: Iterable[_Plan],
-    prefix: tuple[int, ...] = (),
-) -> Embedding | None:
-    """First injective edge-preserving map of a target into a host given
-    as an adjacency structure, trying the target's compiled plans in turn,
-    each with the same prescribed images for its first positions.  One
-    unanchored plan searches for any copy; the anchored plans with prefix
-    (u, v) search for a copy through the host edge uv, one oriented target
-    edge of each automorphism orbit tried against it.
-
-    Its caller is _mono_copy, the re-check of every free witness; the
-    target-free coloring search runs _embed_through_edge instead, so the
-    check shares no embedding code with the search it checks.
-    """
-    for plan in plans:
-        emb = _backtrack_embed(plan, host_adj, host_vertices, prefix)
-        if emb is not None:
-            return emb
-    return None
-
-
 def _embed_through_edge(plan: _Plan, adj: Sequence[int], u: int, v: int
                         ) -> Embedding | None:
     """The embedding _backtrack_embed(plan, set_adj, (), (u, v)) returns,
@@ -332,8 +305,8 @@ def find_subgraph(host: Graph, target: Graph) -> Embedding | None:
         return None
     if target.max_degree() > host.max_degree():
         return None
-    plans = _compile_plans(target, [_search_order(target)])
-    return _backtrack_embed(plans[0], host.adj, range(host.vertex_count))
+    plan = _compile_plan(target, _search_order(target))
+    return _backtrack_embed(plan, host.adj, range(host.vertex_count))
 
 
 # ---------------------------------------------------------------------------
@@ -422,15 +395,16 @@ def mono_copy(coloring: EdgeColoring, target: Graph) -> tuple[int, Embedding] | 
             return 1, {i: i for i in range(nt)}
         return None
     return _mono_copy(coloring, target,
-                      _compile_plans(target, [_search_order(target)]))
+                      _compile_plan(target, _search_order(target)))
 
 
-def _mono_copy(coloring: EdgeColoring, target: Graph, plans: Sequence[_Plan]
+def _mono_copy(coloring: EdgeColoring, target: Graph, plan: _Plan
                ) -> tuple[int, Embedding] | None:
-    """mono_copy of a target with edges, searched with the given plans of
-    it.  Any one plan finds a copy in a class that holds one, so a caller
-    that needs only whether a copy exists may pass any single plan it
-    already compiled."""
+    """mono_copy of a target with edges, searched with the given plan of
+    it, run on the set kernel _backtrack_embed without prescribed images.
+    Any plan finds a copy in a class that holds one, so a caller that
+    needs only whether a copy exists may pass a plan it already compiled;
+    the copy found may then differ from mono_copy's."""
     et = target.edge_count
     nt = target.vertex_count
     dt = target.max_degree()
@@ -452,7 +426,7 @@ def _mono_copy(coloring: EdgeColoring, target: Graph, plans: Sequence[_Plan]
                 continue
             if max(len(adj[v]) for v in comp) < dt:
                 continue
-            emb = _embed_in_adjacency(adj, sorted(comp), plans)
+            emb = _backtrack_embed(plan, adj, sorted(comp))
             if emb is not None:
                 return c, emb
     return None
@@ -881,8 +855,6 @@ def search_h_free_coloring(
     those of the search without the twin cuts, the lex-least target-free
     coloring in sorted-edge order; only the node count falls.
     """
-    if node_budget is not None and node_budget < 0:
-        raise DomainError(f"need node_budget >= 0, got {node_budget}")
     return _search_h_free(g, _anchored_plans(target), r, node_budget)
 
 
@@ -905,9 +877,9 @@ def _anchored_plans(target: Graph) -> list[_Plan]:
     witnesses and node counts are those of the search over all of them.
 
     Were an orbit wrongly merged, admissibility could only loosen: the
-    search could answer "free" but never a wrong "arrows".  A free witness
-    is re-checked by mono_copy, which raises on a monochromatic copy; a
-    witness that passes is target-free, hence, as in
+    search could answer "free" but never a wrong "arrows".  oracle.arrows
+    re-checks a free witness with _mono_copy over plans[0] and raises on a
+    monochromatic copy; a witness that passes is target-free, hence, as in
     backtrack_edge_coloring, the lex-least target-free coloring.
     """
     if target.edge_count == 0:
@@ -924,7 +896,7 @@ def _anchored_plans(target: Graph) -> list[_Plan]:
                    for (p, q), plan in zip(anchors, plans)):
                 continue
             anchors.append((x, y))
-            plans += _compile_plans(target, [_search_order(target, seed=(x, y))])
+            plans.append(_compile_plan(target, _search_order(target, seed=(x, y))))
     return plans
 
 
@@ -932,6 +904,8 @@ def _search_h_free(g: Graph, plans: list[_Plan], r: int,
                    node_budget: int | None
                    ) -> tuple[str, dict[tuple[int, int], int] | None, int]:
     """search_h_free_coloring over the target's _anchored_plans."""
+    if node_budget is not None and node_budget < 0:
+        raise DomainError(f"need node_budget >= 0, got {node_budget}")
 
     def no_copy_through(adj, u, v) -> bool:
         for plan in plans:

@@ -235,6 +235,18 @@ def test_embed_explicit_host(capsys):
     assert "host: 14 vertices" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("argv", [
+    ["analyze", "biclique:3,-1"],
+    ["certify", "--strategy", "beck", "--target", "path:6",
+     "--host", "biclique:3,-1"],
+], ids=["analyze", "certify"])
+def test_negative_biclique_side_is_exit_2(capsys, argv):
+    # once an edgeless graph on 2 vertices, which certify then verified
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "nonnegative" in captured.err
+
+
 def test_embed_rejects_nontrees(capsys):
     assert main(["embed", "--tree", "cycle:4"]) == 2
     assert main(["embed", "--tree", "empty:3"]) == 2
@@ -391,15 +403,25 @@ def _cap_address_space():
     resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 
 
-@pytest.mark.parametrize("argv", [
-    ["certify", "--strategy", "weakbip", "--target", "cycle:4", "-r", "100000"],
-    ["embed", "--tree", "path:30", "-r", "1000"],
-], ids=["certify", "embed"])
-def test_hosts_too_large_to_build_are_exit_2(argv):
-    # 10^10 and 9 * 10^8 edges, refused before anything is allocated
+@pytest.mark.parametrize("argv, message", [
+    (["certify", "--strategy", "weakbip", "--target", "cycle:4", "-r", "100000"],
+     "--host"),
+    (["embed", "--tree", "path:30", "-r", "1000"], "--host"),
+    (["analyze", "complete:100000"], "4999950000 edges"),
+    (["analyze", "biclique:100000,100000"], "10000000000 edges"),
+    (["analyze", "path:10000000"], "10000000 vertices"),
+    (["analyze", "empty:100000000"], "100000000 vertices"),
+    (["certify", "--strategy", "beck", "--target", "path:4",
+      "--host", "complete:50000"], "1249975000 edges"),
+], ids=["certify", "embed", "complete", "biclique", "path", "empty",
+        "certify-host"])
+def test_hosts_too_large_to_build_are_exit_2(argv, message):
+    # default hosts of 10^10 and 9 * 10^8 edges, then spec-built graphs
+    # over the limit in edges or in vertices, refused before anything is
+    # allocated
     run = run_module(*argv, timeout=10, preexec_fn=_cap_address_space)
     assert run.returncode == 2 and run.stdout == ""
-    assert run.stderr.startswith("error:") and "--host" in run.stderr
+    assert run.stderr.startswith("error:") and message in run.stderr
 
 
 @pytest.mark.parametrize("n, k, seed", [

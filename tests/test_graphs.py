@@ -65,6 +65,14 @@ def test_families():
         cycle_graph(2)
 
 
+def test_biclique_rejects_a_negative_side():
+    # a negative side once built an edgeless graph on a + b vertices
+    for a, b in ((3, -1), (-1, 3), (-2, -2)):
+        with pytest.raises(DomainError, match="nonnegative"):
+            complete_bipartite(a, b)
+    assert complete_bipartite(0, 3).sorted_edges() == []
+
+
 def test_predicates():
     assert is_connected(path_graph(6))
     assert not is_connected(Graph(4, [(0, 1), (2, 3)]))

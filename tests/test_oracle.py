@@ -328,12 +328,12 @@ def test_a_dropped_plan_orbit_surfaces_as_an_error(monkeypatch):
     # wrong verdict on
     host, target = Graph(3, [(0, 2), (1, 2)]), star(2)
     assert arrows(host, target, 1).status == "arrows"
-    original = verify._anchored_plans
+    original = oracle._anchored_plans
 
     def centre_to_leaf_only(h):
         return [p for p in original(h) if p[0][0] == 0]
 
-    monkeypatch.setattr(verify, "_anchored_plans", centre_to_leaf_only)
+    monkeypatch.setattr(oracle, "_anchored_plans", centre_to_leaf_only)
     with pytest.raises(AssertionError,
                        match="free witness contains a monochromatic copy"):
         arrows(host, target, 1)
@@ -393,13 +393,13 @@ def test_exact_search_starts_at_the_pigeonhole_bound(monkeypatch, target, r):
 
 def test_exact_compiles_the_target_once_per_call(monkeypatch):
     calls = []
-    original = verify._compile_plans
+    original = verify._compile_plan
 
-    def counting(target, orders):
+    def counting(target, order):
         calls.append(target)
-        return original(target, orders)
+        return original(target, order)
 
-    monkeypatch.setattr(verify, "_compile_plans", counting)
+    monkeypatch.setattr(verify, "_compile_plan", counting)
     res = size_ramsey_exact(path_graph(4), 2, emax=7)
     # one compile per orbit of P4's oriented edges, none per host
     assert res.value == 7 and len(calls) == 3

@@ -229,10 +229,10 @@ def test_no_public_name_is_exported_by_two_modules():
     assert {k: v for k, v in owners.items() if len(v) > 1} == {}
 
 
-def _named_in_verify() -> dict[str, set[str]]:
-    # for each module-level function of verify.py, the names its body reads
-    # or calls, attributes included
-    path = os.path.join(os.path.dirname(sizeramsey.__file__), "verify.py")
+def _named_in(module: str) -> dict[str, set[str]]:
+    # for each module-level function of the module, the names its body
+    # reads or calls, attributes included
+    path = os.path.join(os.path.dirname(sizeramsey.__file__), f"{module}.py")
     with open(path, encoding="utf-8") as fh:
         tree = ast.parse(fh.read(), filename=path)
     return {fn.name: {node.id if isinstance(node, ast.Name) else node.attr
@@ -245,7 +245,7 @@ def test_the_search_kernel_and_its_checker_share_no_embedding_code():
     # the coloring search embeds through _embed_through_edge; every free
     # witness is re-checked through the set kernel.  Neither reaches the
     # other, directly or through another function of the module
-    named = _named_in_verify()
+    named = _named_in("verify")
 
     def reach(start: str) -> set[str]:
         seen, stack = set(), [start]
@@ -256,8 +256,13 @@ def test_the_search_kernel_and_its_checker_share_no_embedding_code():
                     stack.append(callee)
         return seen
 
-    assert not reach("_embed_through_edge") & {"_backtrack_embed",
-                                               "_embed_in_adjacency"}
+    assert "_backtrack_embed" not in reach("_embed_through_edge")
     for checker in ("find_subgraph", "mono_copy", "_mono_copy",
-                    "_embed_in_adjacency", "_backtrack_embed"):
+                    "_backtrack_embed"):
         assert "_embed_through_edge" not in reach(checker) | named[checker], checker
+    # the checkers do run the set kernel, and the oracle's free-witness
+    # re-check goes through _mono_copy, not through the mask kernel
+    for checker in ("find_subgraph", "_mono_copy"):
+        assert "_backtrack_embed" in reach(checker), checker
+    recheck = _named_in("oracle")["_arrows"]
+    assert "_mono_copy" in recheck and "_embed_through_edge" not in recheck

@@ -387,9 +387,16 @@ def test_search_h_free_compiles_anchored_orders_once(monkeypatch):
 def _all_anchored_plans(target: Graph) -> list:
     """One anchored plan per target edge and orientation, the 2·e(H)
     plans a search without the orbit cut runs."""
-    return verify._compile_plans(target, [
-        verify._search_order(target, seed=(x, y))
-        for a, b in target.sorted_edges() for x, y in ((a, b), (b, a))])
+    return [verify._compile_plan(target,
+                                 verify._search_order(target, seed=(x, y)))
+            for a, b in target.sorted_edges() for x, y in ((a, b), (b, a))]
+
+
+def _first_copy_through(plans: list, adj, u: int, v: int):
+    """The first copy the set kernel finds with prefix (u, v), trying the
+    plans in turn, or None."""
+    return next(filter(None, (verify._backtrack_embed(plan, adj, (), (u, v))
+                              for plan in plans)), None)
 
 
 def _differential_targets() -> list[Graph]:
@@ -434,8 +441,8 @@ def test_orbit_plans_find_a_copy_through_an_edge_exactly_when_all_do():
                      for x in range(g.vertex_count)]
             for u in adj:
                 for v in adj[u]:
-                    kept = verify._embed_in_adjacency(adj, (), reps, (u, v))
-                    full = verify._embed_in_adjacency(adj, (), every, (u, v))
+                    kept = _first_copy_through(reps, adj, u, v)
+                    full = _first_copy_through(every, adj, u, v)
                     assert (kept is None) == (full is None), (
                         target.sorted_edges(), g.sorted_edges(), u, v)
                     # the search's mask kernel returns the set kernel's copy
@@ -522,7 +529,7 @@ def test_twin_leaves_are_not_tried_in_every_order():
     # host lookups, in increasing order a few thousand
     host = helpers.tight_double_star_host(7, 3, 2, 1)
     target = make_double_star(7, 3)
-    plan, = verify._compile_plans(target, [verify._search_order(target)])
+    plan = verify._compile_plan(target, verify._search_order(target))
     adj = _CountingAdjacency(host.adj)
     _CountingAdjacency.lookups = 0
     assert verify._backtrack_embed(plan, adj, range(host.vertex_count)) is None
@@ -533,10 +540,10 @@ def test_compiled_twin_table():
     # S_{2,3}: leaves 2, 3 of center 0 and 4, 5, 6 of center 1 are false
     # twins; in K4 minus the edge 23, 0 and 1 are true twins, 2 and 3 false
     order = [0, 1, 2, 3, 4, 5, 6]
-    (_, _, _, twin), = verify._compile_plans(make_double_star(2, 3), [order])
+    _, _, _, twin = verify._compile_plan(make_double_star(2, 3), order)
     assert twin == [-1, -1, -1, 2, -1, 4, 5]
     diamond = Graph(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)])
-    (_, _, _, twin), = verify._compile_plans(diamond, [[0, 2, 1, 3]])
+    _, _, _, twin = verify._compile_plan(diamond, [0, 2, 1, 3])
     assert twin == [-1, -1, 0, 1]
 
 
