@@ -35,6 +35,8 @@ from .verify import (
     _mono_copy,
     _search_h_free,
     _twin_labels,
+    mono_copy,
+    search_h_free_coloring,
 )
 
 __all__ = [
@@ -243,24 +245,24 @@ def arrows(g: Graph, h: Graph, r: int, node_budget: int | None = None
     """
     if r < 1:
         raise DomainError(f"need r >= 1, got {r}")
-    return _arrows(g, h, r, _anchored_plans(h), node_budget)
+    status, colors, nodes = search_h_free_coloring(g, h, r, node_budget)
+    if status == "free" and mono_copy(EdgeColoring(g, r, colors), h):
+        raise AssertionError(
+            "free witness contains a monochromatic copy; searcher bug")
+    return ArrowingResult(status, nodes, colors)
 
 
 def _arrows(g: Graph, h: Graph, r: int, plans, node_budget: int | None
             ) -> ArrowingResult:
-    """arrows over h's compiled _anchored_plans.  The target-free coloring
-    search runs on the mask kernel; a free witness is re-checked by
-    _mono_copy on the set kernel, with plans[0] run without prescribed
-    images: a complete search for a copy that compiles nothing."""
+    """arrows over h's compiled _anchored_plans, with the budget checked by
+    the caller.  A free witness is re-checked by _mono_copy on the set
+    kernel, with plans[0] run without prescribed images: a complete search
+    for a copy that compiles nothing."""
     status, colors, nodes = _search_h_free(g, plans, r, node_budget)
-    if status == "free":
-        witness = EdgeColoring(g, r, colors)
-        if _mono_copy(witness, h, plans[0]) is not None:
-            raise AssertionError(
-                "free witness contains a monochromatic copy; searcher bug"
-            )
-        return ArrowingResult("free", nodes, dict(colors))
-    return ArrowingResult(status, nodes)
+    if status == "free" and _mono_copy(EdgeColoring(g, r, colors), h, plans[0]):
+        raise AssertionError(
+            "free witness contains a monochromatic copy; searcher bug")
+    return ArrowingResult(status, nodes, colors)
 
 
 @dataclass

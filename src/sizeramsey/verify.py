@@ -855,6 +855,8 @@ def search_h_free_coloring(
     those of the search without the twin cuts, the lex-least target-free
     coloring in sorted-edge order; only the node count falls.
     """
+    if node_budget is not None and node_budget < 0:
+        raise DomainError(f"need node_budget >= 0, got {node_budget}")
     return _search_h_free(g, _anchored_plans(target), r, node_budget)
 
 
@@ -878,8 +880,9 @@ def _anchored_plans(target: Graph) -> list[_Plan]:
 
     Were an orbit wrongly merged, admissibility could only loosen: the
     search could answer "free" but never a wrong "arrows".  oracle.arrows
-    re-checks a free witness with _mono_copy over plans[0] and raises on a
-    monochromatic copy; a witness that passes is target-free, hence, as in
+    re-checks a free witness with mono_copy, and the exact oracle with
+    _mono_copy over plans[0]; both raise on a monochromatic copy.  A
+    witness that passes is target-free, hence, as in
     backtrack_edge_coloring, the lex-least target-free coloring.
     """
     if target.edge_count == 0:
@@ -904,8 +907,6 @@ def _search_h_free(g: Graph, plans: list[_Plan], r: int,
                    node_budget: int | None
                    ) -> tuple[str, dict[tuple[int, int], int] | None, int]:
     """search_h_free_coloring over the target's _anchored_plans."""
-    if node_budget is not None and node_budget < 0:
-        raise DomainError(f"need node_budget >= 0, got {node_budget}")
 
     def no_copy_through(adj, u, v) -> bool:
         for plan in plans:

@@ -328,12 +328,12 @@ def test_a_dropped_plan_orbit_surfaces_as_an_error(monkeypatch):
     # wrong verdict on
     host, target = Graph(3, [(0, 2), (1, 2)]), star(2)
     assert arrows(host, target, 1).status == "arrows"
-    original = oracle._anchored_plans
+    original = verify._anchored_plans
 
     def centre_to_leaf_only(h):
         return [p for p in original(h) if p[0][0] == 0]
 
-    monkeypatch.setattr(oracle, "_anchored_plans", centre_to_leaf_only)
+    monkeypatch.setattr(verify, "_anchored_plans", centre_to_leaf_only)
     with pytest.raises(AssertionError,
                        match="free witness contains a monochromatic copy"):
         arrows(host, target, 1)
