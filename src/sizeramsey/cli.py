@@ -101,7 +101,9 @@ _SPEC_FAMILIES = {
 def parse_graph_spec(spec: str, fmt: str = "graph6") -> Graph:
     """Build a graph from a spec string, a file path, or raw graph6.  A
     spec for more than MAX_BUILT_HOST_EDGES vertices or edges is refused
-    before it is built."""
+    before it is built, and so is an edge list whose header declares more
+    than MAX_BUILT_HOST_EDGES vertices: reading one allocates nothing per
+    vertex, but everything the CLI then does with it would."""
     if ":" in spec:
         head, _, rest = spec.partition(":")
         if head in _SPEC_FAMILIES:
@@ -123,7 +125,12 @@ def parse_graph_spec(spec: str, fmt: str = "graph6") -> Graph:
     if os.path.exists(spec):
         text = _read_text(spec)
         if fmt == "edgelist":
-            return parse_edge_list(text)
+            g = parse_edge_list(text)
+            if g.vertex_count > MAX_BUILT_HOST_EDGES:
+                raise DomainError(
+                    f"{spec!r} has {g.vertex_count} vertices, over the CLI's "
+                    f"limit of {MAX_BUILT_HOST_EDGES}")
+            return g
         lines = text.strip().splitlines()
         return parse_graph6(lines[0] if lines else "")
     try:

@@ -59,43 +59,88 @@ def _wl_colors(n: int, adj, colors: list[int]) -> list[int]:
 
     Each round's label of v is the rank of (old label, sorted neighbor
     labels) among all vertices, which is isomorphism-invariant; rounds
-    strictly refine the partition until the class count stabilizes or
-    every class is a singleton, and the result is the coarsest equitable
+    strictly refine the partition until a round splits no class or every
+    class is a singleton, and the result is the coarsest equitable
     refinement of the input.
+
+    The ranks are those of sorting all n keys each round, at less cost:
+
+    - Keys sort by old label first, so a key's rank is the number of
+      distinct keys of smaller old labels plus the rank of its neighbor
+      tuple within its own class: each class is ranked on its own, in
+      label order.
+    - A vertex alone in its class is keyed by its label alone, with no
+      neighbor tuple: no other key shares that label, so the tuple could
+      never decide its rank.
+    - After the first round, a class can split only if a member has a
+      neighbor whose class split in the round before.  Otherwise each
+      member's neighbor labels are its previous ones, renamed class by
+      class, and stay equal across the class.  Other classes keep one rank
+      without building tuples, and when no class of two or more can split,
+      the round that would confirm it is skipped: it would return the same
+      ranks.
     """
-    nclasses = len(set(colors))
+    classes: list[list[int]] = [[] for _ in range(max(colors) + 1)]
+    for v, c in enumerate(colors):
+        classes[c].append(v)
+    classes = [cell for cell in classes if cell]
+    touched = None  # the classes that may split; None for all
     while True:
-        keys = [
-            (colors[v], tuple(sorted([colors[w] for w in adj[v]])))
-            for v in range(n)
-        ]
-        uniq = sorted(set(keys))
-        rank = {k: i for i, k in enumerate(uniq)}
-        new = [rank[k] for k in keys]
-        if len(uniq) == nclasses or len(uniq) == n:
+        new = [0] * n
+        refined: list[list[int]] = []
+        moved: list[int] = []
+        rank = 0
+        for c, cell in enumerate(classes):
+            if len(cell) == 1 or (touched is not None and c not in touched):
+                for v in cell:
+                    new[v] = rank
+                refined.append(cell)
+                rank += 1
+                continue
+            by_key: dict[tuple[int, ...], list[int]] = {}
+            for v in cell:
+                key = tuple(sorted([colors[w] for w in adj[v]]))
+                by_key.setdefault(key, []).append(v)
+            if len(by_key) > 1:
+                moved += cell
+            for k in sorted(by_key):
+                part = by_key[k]
+                for v in part:
+                    new[v] = rank
+                refined.append(part)
+                rank += 1
+        touched = {c for v in moved for w in adj[v]
+                   if len(refined[c := new[w]]) > 1}
+        if not touched:
             return new
-        colors, nclasses = new, len(uniq)
+        colors, classes = new, refined
 
 
-def _adjacency_code(n: int, adj, ordering: list[int]) -> int:
-    """The upper triangle of the adjacency matrix under ordering, read row
-    by row as one binary number.  Each row is built as a small int and
-    shifted in whole, so the cost stays near linear in the n(n-1)/2 bits
-    instead of copying the growing code once per bit."""
+def _adjacency_code(n: int, edges, position: list[int]) -> int:
+    """The upper triangle of the adjacency matrix, vertex v in row
+    position[v], read row by row as one binary number.  Row i holds the
+    pairs (i, j), j > i, first bit highest, and the n-2-i rows below it
+    hold (n-2-i)(n-1-i)/2 bits, so pair (i, j) is bit
+    (n-1-j) + (n-2-i)(n-1-i)/2: one bit is set per edge, and the
+    non-edges, most of the n(n-1)/2 pairs, are never visited."""
     code = 0
-    for i in range(n - 1):
-        ai = adj[ordering[i]]
-        row = 0
-        for j in range(i + 1, n):
-            row = (row << 1) | (ordering[j] in ai)
-        code = (code << (n - 1 - i)) | row
+    for u, v in edges:
+        i, j = position[u], position[v]
+        if i > j:
+            i, j = j, i
+        code |= 1 << ((n - 1 - j) + (n - 2 - i) * (n - 1 - i) // 2)
     return code
 
 
-def _canon_code(adj, label: list[int], colors: list[int]) -> int:
+def _canon_code(edges, adj, colors: list[int]) -> int:
     """Least leaf code of the individualization-refinement tree below the
     equitable coloring `colors` (McKay & Piperno, "Practical graph
-    isomorphism II", 2014), pruned at twins, which share a label.
+    isomorphism II", 2014), pruned at twins, which share a twin label.
+
+    Colorings are ranks, so one whose greatest color is n-1 is a leaf,
+    and its colors are the positions of the vertices in the leaf's
+    ordering.  The twin labels are asked for only when a class has to be
+    split; a graph that refinement alone orders never needs them.
 
     The tree is walked with an explicit stack of the refined colorings
     still to visit, so its depth, up to the vertex count, is not bounded
@@ -103,20 +148,22 @@ def _canon_code(adj, label: list[int], colors: list[int]) -> int:
     on the order in which the leaves are met."""
     n = len(adj)
     best = None
+    label = None
     stack = [colors]
     while stack:
         colors = stack.pop()
-        classes: list[list[int]] = [[] for _ in range(max(colors) + 1)]
-        for v, c in enumerate(colors):
-            classes[c].append(v)
-        for cell in classes:
-            if len(cell) >= 2:
-                break
-        else:
-            code = _adjacency_code(n, adj, [cl[0] for cl in classes])
+        top = max(colors)
+        if top == n - 1:
+            code = _adjacency_code(n, edges, colors)
             if best is None or code < best:
                 best = code
             continue
+        classes: list[list[int]] = [[] for _ in range(top + 1)]
+        for v, c in enumerate(colors):
+            classes[c].append(v)
+        cell = next(cell for cell in classes if len(cell) >= 2)
+        if label is None:
+            label = _twin_labels(adj)
         tried: set[int] = set()
         for v in cell:
             if label[v] not in tried:
@@ -145,13 +192,25 @@ def canonical_form(g: Graph) -> tuple[int, int]:
     Swapping v and w is then an automorphism that fixes every vertex
     individualized so far, and so maps the subtree below v onto the one
     below w: both give the same least code.
+
+    Two shortcuts leave every code as it was.  _wl_colors keys a vertex
+    alone in its color by that color alone, which already fixes its rank,
+    so every refined coloring, and so the tree, is unchanged.  A leaf's
+    code sets one bit per edge, where the row-by-row reading of the
+    ordering puts that pair, so it is the number that reading all
+    n(n-1)/2 pairs gives.  The search reads neighbor lists built from
+    g.edges, not g.adj, so a graph whose form is all that is asked of it,
+    as for most children in _grow_levels, never builds its adjacency sets.
     """
     n = g.vertex_count
     if n == 0:
         return (0, 0)
-    adj = g.adj
+    adj: list[list[int]] = [[] for _ in range(n)]
+    for u, v in g.edges:
+        adj[u].append(v)
+        adj[v].append(u)
     colors = _wl_colors(n, adj, [len(a) for a in adj])
-    return (n, _canon_code(adj, _twin_labels(g), colors))
+    return (n, _canon_code(g.edges, adj, colors))
 
 
 # ---------------------------------------------------------------------------
@@ -189,7 +248,7 @@ def _grow_levels(emax: int, vmax: int | None):
         nxt: dict[tuple[int, int], Graph] = {}
         for g in level.values():
             n = g.vertex_count
-            label = _twin_labels(g)
+            label = _twin_labels(g.adj)
             least = [v for v in range(n) if label[v] == v]
             # second[u]: the next member of the class of its least member u
             second: dict[int, int] = {}

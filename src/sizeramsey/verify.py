@@ -127,9 +127,10 @@ def _search_order(target: Graph, seed: tuple[int, ...] = ()) -> list[int]:
 _Plan = tuple[Sequence[int], list[list[int]], list[int], list[int]]
 
 
-def _twin_labels(g: Graph) -> list[int]:
+def _twin_labels(adj: Sequence[Iterable[int]]) -> list[int]:
     """label[v]: the least of v and its twins, so that twins, and only
-    twins, share a label.
+    twins, share a label.  adj[v] holds the neighbors of v, as a set or
+    a list.
 
     Twinship is an equivalence whose classes are cliques (true twins) or
     independent sets (false twins), never both for one vertex, and one
@@ -138,7 +139,8 @@ def _twin_labels(g: Graph) -> list[int]:
     """
     first: dict[frozenset[int], int] = {}
     label: list[int] = []
-    for v, nbrs in enumerate(g.adj):
+    for v, nbrs in enumerate(adj):
+        nbrs = frozenset(nbrs)
         w = first.setdefault(nbrs, v)
         if w == v:
             w = first.setdefault(nbrs | {v}, v)
@@ -151,7 +153,7 @@ def _compile_plan(target: Graph, order: Sequence[int]) -> _Plan:
     target and the order, so a search that runs one order many times
     compiles it once."""
     tadj = target.adj
-    label = _twin_labels(target)
+    label = _twin_labels(target.adj)
     pos = {v: i for i, v in enumerate(order)}
     parents = [[pos[w] for w in tadj[tv] if pos[w] < i]
                for i, tv in enumerate(order)]
@@ -822,7 +824,7 @@ def _host_twin_swaps(g: Graph) -> list[list[tuple[int, int]]]:
     # row[v][w]: the index of edge vw, built at the first twin pair
     row: list[dict[int, int]] = []
     last: dict[int, int] = {}  # the latest member of each twin class
-    for b, lab in enumerate(_twin_labels(g)):
+    for b, lab in enumerate(_twin_labels(g.adj)):
         a = last.get(lab, b)
         last[lab] = b
         if a == b:

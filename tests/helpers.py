@@ -139,6 +139,33 @@ def connected_levels(emax: int, vmax: int | None = None
     return out
 
 
+def wl_colors_reference(n: int, adj, colors: list[int]) -> list[int]:
+    """Reference for oracle._wl_colors: each round ranks every vertex's
+    (color, sorted neighbor colors) among all n such keys at once, as the
+    canonical forms did before singleton classes skipped their tuples."""
+    nclasses = len(set(colors))
+    while True:
+        keys = [(colors[v], tuple(sorted(colors[w] for w in adj[v])))
+                for v in range(n)]
+        uniq = sorted(set(keys))
+        rank = {k: i for i, k in enumerate(uniq)}
+        new = [rank[k] for k in keys]
+        if len(uniq) == nclasses or len(uniq) == n:
+            return new
+        colors, nclasses = new, len(uniq)
+
+
+def adjacency_code_reference(g: Graph, ordering: list[int]) -> int:
+    """Reference for oracle._adjacency_code: the upper triangle of g's
+    adjacency matrix under ordering, every pair tested, read row by row."""
+    n = g.vertex_count
+    code = 0
+    for i in range(n):
+        for j in range(i + 1, n):
+            code = (code << 1) | g.has_edge(ordering[i], ordering[j])
+    return code
+
+
 def check_plane_axioms(plane) -> None:
     """Full incidence-axiom suite for an affine plane of order q."""
     q = plane.q

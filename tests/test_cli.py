@@ -424,6 +424,21 @@ def test_hosts_too_large_to_build_are_exit_2(argv, message):
     assert run.stderr.startswith("error:") and message in run.stderr
 
 
+def test_edge_list_over_the_vertex_limit_is_refused(tmp_path):
+    f = tmp_path / "huge.edges"
+    f.write_text(f"{10 ** 12}\n0 1\n")
+    with pytest.raises(DomainError, match="1000000000000 vertices"):
+        parse_graph_spec(str(f), fmt="edgelist")
+    # the header alone once sized the graph: analyze ended in a MemoryError
+    run = run_module("analyze", "--format", "edgelist", str(f), timeout=10,
+                     preexec_fn=_cap_address_space)
+    assert run.returncode == 2 and run.stdout == ""
+    assert run.stderr.startswith("error:") and "1000000000000 vertices" in run.stderr
+    # a header at the limit still builds
+    f.write_text(f"{10 ** 6}\n0 1\n")
+    assert parse_graph_spec(str(f), fmt="edgelist").vertex_count == 10 ** 6
+
+
 @pytest.mark.parametrize("n, k, seed", [
     (2, 1, 0), (4, 3, 1), (5, 10, 2), (7, 5, 3), (7, 21, 4), (8, 6, 5),
     (30, 100, 6), (50, 300, 7), (200, 5, 8),

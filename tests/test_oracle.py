@@ -200,18 +200,50 @@ def test_canonical_form_depth_is_not_bounded_by_recursion(g):
     assert code == want
 
 
+def test_wl_colors_matches_ranking_every_key_at_once():
+    # random starting colorings, most with classes of one vertex, which
+    # are ranked without their neighbor tuples
+    rng = random.Random(2014)
+    singletons = 0
+    for _ in range(400):
+        n = rng.randint(1, 12)
+        g = helpers.random_graph(rng, n, rng.randint(0, n * (n - 1) // 2))
+        colors = [rng.randrange(rng.randint(1, 2 * n)) for _ in range(n)]
+        adj = [sorted(a) for a in g.adj]
+        got = oracle._wl_colors(n, adj, colors)
+        assert got == helpers.wl_colors_reference(n, g.adj, colors)
+        singletons += any(colors.count(c) == 1 for c in colors)
+    assert singletons >= 300
+
+
+def test_leaf_code_matches_reading_every_pair():
+    # one bit set per edge gives the row-by-row reading of all n(n-1)/2
+    # pairs, on random graphs under random orderings
+    rng = random.Random(1998)
+    for _ in range(400):
+        n = rng.randint(1, 14)
+        g = helpers.random_graph(rng, n, rng.randint(0, n * (n - 1) // 2))
+        ordering = list(range(n))
+        rng.shuffle(ordering)
+        position = [0] * n
+        for i, v in enumerate(ordering):
+            position[v] = i
+        assert (oracle._adjacency_code(n, g.edges, position)
+                == helpers.adjacency_code_reference(g, ordering))
+
+
 # ---------------------------------------------------------------------------
 # connected-host enumeration
 
 
 def test_enumeration_counts():
     # connected unlabeled graphs by edge count, no isolated vertices
-    # (OEIS A002905)
-    expected = {1: 1, 2: 1, 3: 3, 4: 5, 5: 12, 6: 30, 7: 79, 8: 227, 9: 710,
-                10: 2322}
-    for e, count in expected.items():
-        got = enumerate_connected_graphs(e)
-        assert len(got) == count
+    # (OEIS A002905), every level from one pass
+    expected = [1, 1, 3, 5, 12, 30, 79, 227, 710, 2322, 8071]
+    levels = list(oracle._grow_levels(len(expected), None))
+    assert [e for e, _ in levels] == list(range(1, len(expected) + 1))
+    assert [len(got) for _, got in levels] == expected
+    for e, got in levels:
         for g in got:
             assert g.edge_count == e
             assert all(g.degree(v) >= 1 for v in range(g.vertex_count))
