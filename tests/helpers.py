@@ -141,8 +141,7 @@ def connected_levels(emax: int, vmax: int | None = None
 
 def wl_colors_reference(n: int, adj, colors: list[int]) -> list[int]:
     """Reference for oracle._wl_colors: each round ranks every vertex's
-    (color, sorted neighbor colors) among all n such keys at once, as the
-    canonical forms did before singleton classes skipped their tuples."""
+    (color, sorted neighbor colors) among all n such keys at once."""
     nclasses = len(set(colors))
     while True:
         keys = [(colors[v], tuple(sorted(colors[w] for w in adj[v])))

@@ -429,7 +429,7 @@ def test_edge_list_over_the_vertex_limit_is_refused(tmp_path):
     f.write_text(f"{10 ** 12}\n0 1\n")
     with pytest.raises(DomainError, match="1000000000000 vertices"):
         parse_graph_spec(str(f), fmt="edgelist")
-    # the header alone once sized the graph: analyze ended in a MemoryError
+    # refused before analyze does anything per vertex
     run = run_module("analyze", "--format", "edgelist", str(f), timeout=10,
                      preexec_fn=_cap_address_space)
     assert run.returncode == 2 and run.stdout == ""
