@@ -228,9 +228,10 @@ def _require_buildable(edges: int) -> None:
 
 
 def _auto_host(strategy: str, target: Graph, r: int, seed: int) -> Graph:
-    """A host at the edge threshold: ceil(bound)-1 edges, dense enough to
-    be connected, resampled until it is (affine gets the capacity clique);
-    one above MAX_BUILT_HOST_EDGES is refused before it is built."""
+    """A host at the edge threshold: ceil(bound)-1 edges on at most one
+    vertex more, dense enough to be connected, resampled until it is
+    (affine gets the capacity clique); one above MAX_BUILT_HOST_EDGES is
+    refused before it is built."""
     if strategy == "affine":
         capacity = _affine_cells(r, target.vertex_count)[2]
         if capacity < 2:
@@ -248,6 +249,7 @@ def _auto_host(strategy: str, target: Graph, r: int, seed: int) -> Graph:
     n = max(4, math.isqrt(4 * e_host))
     while n * (n - 1) // 2 < e_host:
         n += 1
+    n = min(n, e_host + 1)  # 1 or 2 edges cannot connect 4 vertices
     rng = random.Random(seed)
     g = Graph(n, _sample_pairs(rng, n, e_host))
     for _ in range(1000):
@@ -341,32 +343,27 @@ def _cmd_exact(args) -> int:
         report = cross_check_bounds(target, args.r, args.emax, args.budget)
         exact = report["exact"]
         lb = report["lower_bound"]
-        lb_val = Fraction(lb["num"], lb["den"])
-        print(f"lower bound: {lb_val} via {lb['tag']}")
+        print(f"lower bound: {Fraction(lb['num'], lb['den'])} via {lb['tag']}")
         if report["upper_bound"] is not None:
             print(f"upper bound: {report['upper_bound']}")
-        if exact["status"] == "exact":
-            print(f"exact value: {exact['value']}")
-        else:
-            print(f"bracket: lower {exact['lower']}, upper {exact['upper']}")
-        for v in report["violations"]:
-            print(f"VIOLATION: {v}")
-        if args.json_out is not None:
-            _emit_json(report, args.json_out)
-        if report["violations"]:
-            return 1
-        return 0 if exact["status"] == "exact" else 3
-    res = size_ramsey_exact(target, args.r, args.emax, args.budget)
-    if res.status == "exact":
-        print(f"exact value: {res.value} (search nodes: {res.nodes})")
-        print(f"minimal arrowing host: {res.arrowing_host_graph6}")
     else:
-        up = res.upper if res.upper is not None else "none found"
-        print(f"open: lower {res.lower}, upper {up} "
-              f"({len(res.unknown_hosts)} hosts hit the budget)")
+        report = exact = size_ramsey_exact(target, args.r, args.emax,
+                                           args.budget).to_dict()
+    if exact["status"] == "exact":
+        print(f"exact value: {exact['value']} (search nodes: {exact['nodes']})")
+        print(f"minimal arrowing host: {exact['arrowing_host_graph6']}")
+    else:
+        up = exact["upper"] if exact["upper"] is not None else "none found"
+        print(f"open: lower {exact['lower']}, upper {up} "
+              f"({len(exact['unknown_hosts'])} hosts hit the budget)")
+    violations = report.get("violations", [])
+    for v in violations:
+        print(f"VIOLATION: {v}")
     if args.json_out is not None:
-        _emit_json(res.to_dict(), args.json_out)
-    return 0 if res.status == "exact" else 3
+        _emit_json(report, args.json_out)
+    if violations:
+        return 1
+    return 0 if exact["status"] == "exact" else 3
 
 
 def _parse_seed_range(text: str) -> list[int]:
@@ -443,22 +440,25 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--format", choices=["graph6", "edgelist"],
-                       default="graph6", help="file format for graph paths")
-        p.add_argument("--json-out", default=None, metavar="FILE",
-                       help="write a JSON report to FILE ('-' for stdout)")
+    # each subcommand takes the shared options its handler reads
+    fmt = argparse.ArgumentParser(add_help=False)
+    fmt.add_argument("--format", choices=["graph6", "edgelist"],
+                     default="graph6", help="file format for graph paths")
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--json-out", default=None, metavar="FILE",
+                     help="write a JSON report to FILE ('-' for stdout)")
 
-    p = sub.add_parser("analyze", help="profile, bounds, and shape of a target")
+    p = sub.add_parser("analyze", parents=[fmt, out],
+                       help="profile, bounds, and shape of a target")
     p.add_argument("target")
     p.add_argument("-r", type=int, default=2)
     p.add_argument("--beta", action="store_true",
                    help="insist on the bipartite weight; errors on "
                         "non-bipartite targets")
-    common(p)
     p.set_defaults(func=_cmd_analyze)
 
-    p = sub.add_parser("certify", help="construct and verify a lower-bound coloring")
+    p = sub.add_parser("certify", parents=[fmt],
+                       help="construct and verify a lower-bound coloring")
     p.add_argument("--strategy", choices=list(STRATEGIES), required=True)
     p.add_argument("--target", required=True)
     p.add_argument("--host", default=None,
@@ -469,25 +469,24 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None, metavar="FILE",
                    help="write the certificate JSON to FILE instead of stdout "
                         "('-' for stdout)")
-    common(p)
     p.set_defaults(func=_cmd_certify)
 
     p = sub.add_parser("verify", help="re-verify a certificate file")
     p.add_argument("certificate")
-    common(p)
     p.set_defaults(func=_cmd_verify)
 
-    p = sub.add_parser("embed", help="find a monochromatic tree in a colored "
-                                     "complete bipartite host")
+    p = sub.add_parser("embed", parents=[fmt, out],
+                       help="find a monochromatic tree in a colored complete "
+                            "bipartite host")
     p.add_argument("--tree", required=True)
     p.add_argument("--host", default=None,
                    help="complete bipartite host spec; omit for the bound host")
     p.add_argument("-r", type=int, default=2)
     p.add_argument("--seed", type=int, default=0)
-    common(p)
     p.set_defaults(func=_cmd_embed)
 
-    p = sub.add_parser("exact", help="brute-force the size-Ramsey number")
+    p = sub.add_parser("exact", parents=[fmt, out],
+                       help="brute-force the size-Ramsey number")
     p.add_argument("--target", required=True)
     p.add_argument("-r", type=int, default=2)
     p.add_argument("--emax", type=int, default=8)
@@ -495,10 +494,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help="search nodes per host")
     p.add_argument("--cross-check", action="store_true",
                    help="compare the exact value against the package bounds")
-    common(p)
     p.set_defaults(func=_cmd_exact)
 
-    p = sub.add_parser("simulate", help="random sparse host trials for a tree")
+    p = sub.add_parser("simulate", parents=[fmt, out],
+                       help="random sparse host trials for a tree")
     p.add_argument("--tree", required=True)
     p.add_argument("-A", dest="a_const", type=float, required=True)
     p.add_argument("-B", dest="b_const", type=float, required=True)
@@ -509,12 +508,11 @@ def build_parser() -> argparse.ArgumentParser:
                    default="random")
     p.add_argument("-k", type=int, default=32,
                    help="candidate colorings for worst_of_k")
-    common(p)
     p.set_defaults(func=_cmd_simulate)
 
-    p = sub.add_parser("plane-dump", help="lines and parallel classes of AG(2, q)")
+    p = sub.add_parser("plane-dump", parents=[out],
+                       help="lines and parallel classes of AG(2, q)")
     p.add_argument("-q", type=int, required=True)
-    common(p)
     p.set_defaults(func=_cmd_plane_dump)
 
     return parser

@@ -577,14 +577,9 @@ def affine_component_coloring(N: int, n: int, r: int
             f"K_{N} exceeds the affine blow-up with cells of {s}",
             max_value=capacity,
         )
-    colors = _cell_coloring(host.edges, {v: v // s for v in range(N)},
-                            make_affine_plane(q), 1)
-    cells: dict[str, tuple[int, ...]] = {}
-    for p in range((N + s - 1) // s):
-        members = tuple(range(p * s, min((p + 1) * s, N)))
-        if members:
-            cells[f"cell_{p}"] = members
-    plan.parts = cells
+    cell = {v: v // s for v in range(N)}
+    colors = _cell_coloring(host.edges, cell, make_affine_plane(q), 1)
+    _indexed_parts(plan.parts, "cell", cell)
     return EdgeColoring(host, r, colors), plan
 
 
@@ -680,11 +675,7 @@ def chi3_coloring(g: Graph, h: Graph, r: int, seed: int = 0
         "best peak line load")
     colors.update(_cell_coloring(rest_edges, cell, plane, r + 2))
     parts: dict[str, tuple[int, ...]] = {"V0": tuple(v0)}
-    by_cell: dict[int, list[int]] = defaultdict(list)
-    for v, c in cell.items():
-        by_cell[c].append(v)
-    for c in sorted(by_cell):
-        parts[f"cell_{c}"] = tuple(sorted(by_cell[c]))
+    _indexed_parts(parts, "cell", cell)
     plan = ColoringPlan(
         strategy="chi3",
         parts=parts,
@@ -1039,11 +1030,7 @@ def lower_bound_value(h: Graph, r: int) -> tuple[Fraction, str]:
             cands.append((_double_star_bound(n, mm, r), "double_star"))
             if r == 2:
                 cands.append((_double_star_2col_bound(n, mm), "double_star_2col"))
-    best = cands[0]
-    for cand in cands[1:]:
-        if cand[0] > best[0]:
-            best = cand
-    return best
+    return max(cands, key=lambda cand: cand[0])  # the first of tied bounds
 
 
 # ---------------------------------------------------------------------------

@@ -188,7 +188,9 @@ def ramsey_embed_test(coloring: EdgeColoring, tree: Graph
             f"(class of {e1} edges, core of {len(core_vertices)} vertices)"
         )
     mapping = {tv: back[hv] for tv, hv in emb.items()}
-    for u, v in tree.edges:
-        if coloring.get(mapping[u], mapping[v]) != majority:
-            raise AssertionError("embedding left the majority class")
+    if (len(set(mapping.values())) != tree.vertex_count
+            or any(coloring.get(mapping[u], mapping[v]) != majority
+                   for u, v in tree.edges)):
+        raise AssertionError("embedding is not injective or left the "
+                             "majority class")
     return majority, mapping

@@ -1,6 +1,9 @@
 """Command line surface: the graph spec language, every subcommand, exit
 codes, and JSON side outputs."""
 
+import argparse
+import ast
+import inspect
 import json
 import os
 import random
@@ -22,13 +25,14 @@ from sizeramsey import (
     complete_graph,
     cycle_graph,
     emit_graph6,
+    is_connected,
     make_double_star,
     parse_graph6,
     path_graph,
     star,
 )
 from sizeramsey import colorings
-from sizeramsey.cli import _sample_pairs, main, parse_graph_spec
+from sizeramsey.cli import _sample_pairs, build_parser, main, parse_graph_spec
 from sizeramsey.verify import certificate_to_json
 
 
@@ -208,6 +212,19 @@ def test_certify_budget_exhaustion_is_exit_3(capsys, monkeypatch):
     assert "budget exhausted:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("target, vertices, edges", [
+    ("path:4", 2, 1), ("biclique:2,3", 3, 2),
+])
+def test_default_host_below_three_edges_is_connected(capsys, target, vertices,
+                                                     edges):
+    # beck's bound of 2 or 3 leaves 1 or 2 host edges, which 4 vertices
+    # could never connect
+    assert main(["certify", "--strategy", "beck", "--target", target]) == 0
+    captured = capsys.readouterr()
+    assert f"host: {vertices} vertices, {edges} edges" in captured.err
+    assert is_connected(parse_graph6(json.loads(captured.out)["host_graph6"]))
+
+
 def test_certify_has_no_retry_option(capsys):
     assert main(["certify", "--strategy", "chi3", "--target", "cycle:5",
                  "-r", "2", "--max-retries", "5"]) == 2
@@ -270,7 +287,12 @@ def test_exact_resolves_smallest_star(capsys, tmp_path):
 
 def test_exact_open_is_exit_3(capsys):
     assert main(["exact", "--target", "star:3", "-r", "2", "--emax", "3"]) == 3
-    assert "open: lower 4" in capsys.readouterr().out
+    plain = capsys.readouterr().out
+    assert plain == "open: lower 4, upper none found (0 hosts hit the budget)\n"
+    # --cross-check prints its bound lines, then the same bracket
+    assert main(["exact", "--target", "star:3", "-r", "2", "--emax", "3",
+                 "--cross-check"]) == 3
+    assert capsys.readouterr().out.endswith("\n" + plain)
 
 
 def test_exact_has_no_vertex_cap(capsys):
@@ -286,8 +308,12 @@ def test_exact_cross_check(capsys):
     text = capsys.readouterr().out
     assert rc == 0
     assert "lower bound: 3 via star_exact" in text
-    assert "exact value: 3" in text
     assert "VIOLATION" not in text
+    # the bound lines, then exactly what plain exact prints
+    assert main(["exact", "--target", "star:2", "-r", "2", "--emax", "3"]) == 0
+    plain = capsys.readouterr().out
+    assert plain.startswith("exact value: 3 (search nodes:")
+    assert text.endswith("\n" + plain)
 
 
 # ---------------------------------------------------------------------------
@@ -348,6 +374,41 @@ def test_plane_dump(capsys, tmp_path):
 def test_plane_dump_nonprime_power(capsys):
     assert main(["plane-dump", "-q", "6"]) == 2
     capsys.readouterr()
+
+
+def test_every_subcommand_option_is_read_by_its_handler():
+    # an option the handler never reads is accepted and silently ignored
+    (subcommands,) = [a for a in build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction)]
+    unread = []
+    for name, sub in subcommands.choices.items():
+        handler = sub.get_default("func")
+        read = {node.attr for node in ast.walk(ast.parse(
+                    inspect.getsource(handler)))
+                if isinstance(node, ast.Attribute)
+                and isinstance(node.value, ast.Name) and node.value.id == "args"}
+        unread += [f"{name} {a.dest}" for a in sub._actions
+                   if a.dest != "help" and a.dest not in read]
+    assert unread == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["certify", "--strategy", "beck", "--target", "path:4", "--json-out", "F"],
+    ["verify", "cert.json", "--json-out", "F"],
+    ["verify", "cert.json", "--format", "edgelist"],
+    ["plane-dump", "-q", "3", "--format", "edgelist"],
+], ids=["certify-json-out", "verify-json-out", "verify-format",
+        "plane-dump-format"])
+def test_options_a_subcommand_does_not_read_are_refused(capsys, tmp_path,
+                                                        monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    assert main(["certify", "--strategy", "beck", "--target", "path:4",
+                 "--out", "cert.json"]) == 0
+    capsys.readouterr()
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "unrecognized arguments" in captured.err
+    assert os.listdir(tmp_path) == ["cert.json"]
 
 
 def test_usage_errors(capsys):

@@ -1,6 +1,7 @@
 """Degree peeling, greedy tree embedding, and the majority-color test."""
 
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -157,3 +158,18 @@ def test_ramsey_embed_majority_tie_breaks_low():
     col = EdgeColoring(host, 2, {e: 1 + (i % 2) for i, e in enumerate(edges)})
     color, emb = ramsey_embed_test(col, path_graph(2))
     assert color == 1
+
+
+def test_ramsey_embed_test_refuses_a_non_injective_mapping(monkeypatch):
+    # both leaves of P3 sent to one host vertex: every tree edge still lies
+    # in the majority color, but the image is not a copy of the tree
+    def collapse_leaves(core, tree):
+        u, v = core.sorted_edges()[0]
+        return {1: u, 0: v, 2: v}
+
+    monkeypatch.setattr(sys.modules["sizeramsey.embed"], "greedy_tree_embed",
+                        collapse_leaves)
+    host = complete_bipartite(3, 3)
+    col = EdgeColoring(host, 2, {e: 1 for e in host.edges})
+    with pytest.raises(AssertionError, match="not injective"):
+        ramsey_embed_test(col, path_graph(3))
