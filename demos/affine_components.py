@@ -9,8 +9,6 @@ inside a single line's worth of cells, i.e. below n vertices, using only
 q+1 <= r colors.
 """
 
-import warnings
-
 from sizeramsey import (
     affine_component_coloring,
     make_affine_plane,
@@ -27,9 +25,7 @@ print(f"AG(2, {q}): {plane.point_count} points, {len(plane.lines)} lines, "
 for cid, cls in enumerate(plane.classes):
     print(f"  class {cid}: lines {[sorted(plane.lines[l]) for l in cls]}")
 
-with warnings.catch_warnings():
-    warnings.simplefilter("ignore", RuntimeWarning)  # n < r*r is fine here
-    coloring, plan = affine_component_coloring(N, n, r)
+coloring, plan = affine_component_coloring(N, n, r)  # n < r*r is fine here
 
 print(f"\ncolored K_{N} with {len(coloring.colors)} edges")
 sizes = max_mono_component(coloring)

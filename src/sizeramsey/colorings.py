@@ -27,7 +27,6 @@ without success the construction raises LasVegasError.
 from __future__ import annotations
 
 import random
-import warnings
 from collections import Counter, defaultdict
 from dataclasses import replace
 from fractions import Fraction
@@ -368,16 +367,34 @@ def _resample(seed: int, draw, judge, failure: str, statistic: str):
 # the bucket lemma: rk proper colors grouped into r buckets of width k
 
 
+def _bucketed(g: Graph, x, r: int, k: int) -> dict[tuple[int, int], int]:
+    """The bucket lemma: colors 1..r on every edge incident with X, each
+    vertex of X meeting every color at most k times.  Every vertex of X
+    must have degree at most rk.
+
+    A proper coloring of G[X] with rk colors is extended over the
+    X-leaving edges by giving each X endpoint pairwise distinct unused
+    colors; colors (i-1)k+1 .. ik then form bucket i.
+    """
+    st = _proper_coloring(edges_within(g, x), r * k)
+    for u, v in sorted(e for e in g.edges if (e[0] in x) != (e[1] in x)):
+        xe = u if u in x else v
+        # fewer than deg(xe) <= rk edges at xe are colored, so one of the
+        # rk colors is free there; the outside endpoint is unconstrained
+        c = st.first_free(xe)
+        st.colors[(u, v)] = c
+        st.at[xe][c] = v if xe == u else u
+    return {e: (c - 1) // k + 1 for e, c in st.colors.items()}
+
+
 def vizing_bucket_coloring(g: Graph, x_set, r: int, k: int
                            ) -> tuple[EdgeColoring, ColoringPlan]:
     """Color every edge incident with X using r colors so that each vertex
-    of X has degree at most k in every color.
+    of X has degree at most k in every color, by the bucket lemma
+    (_bucketed).
 
-    Method: a proper coloring of G[X] with rk colors, extended over the
-    X-leaving edges by giving each X endpoint pairwise distinct unused
-    colors, then grouping color (i-1)k+1 .. ik into bucket i.  Vertices of
-    X with degree above rk make the guarantee impossible and raise a
-    ConstructionError naming the vertex.
+    Vertices of X with degree above rk make the guarantee impossible and
+    raise a ConstructionError naming the vertex.
     """
     if r < 1 or k < 1:
         raise DomainError(f"need r >= 1 and k >= 1, got r={r}, k={k}")
@@ -392,31 +409,13 @@ def vizing_bucket_coloring(g: Graph, x_set, r: int, k: int
                 f"vertex {v} has degree {g.degree(v)} > r*k = {palette}; "
                 "the per-color degree bound cannot hold"
             )
-    inner = edges_within(g, x)
-    st = _proper_coloring(inner, palette)
-    # extension: leaving edges take colors unused at their X endpoint
-    leaving = sorted(
-        e for e in g.edges if (e[0] in x) != (e[1] in x)
-    )
-    for u, v in leaving:
-        xe = u if u in x else v
-        c = st.first_free(xe)
-        if c is None:
-            raise ConstructionError(
-                f"vertex {xe} ran out of colors during extension"
-            )
-        # record only at the X endpoint; the outside endpoint is unconstrained
-        st.colors[(u, v)] = c
-        st.at[xe][c] = v if xe == u else u
-    bucketed = {e: (c - 1) // k + 1 for e, c in st.colors.items()}
-    coloring = EdgeColoring(g, r, bucketed)
+    coloring = EdgeColoring(g, r, _bucketed(g, x, r, k))
     soft = [v for v in sorted(x) if g.degree(v) == palette]
     plan = ColoringPlan(
         strategy="vizing_bucket",
         parts={"X": tuple(sorted(x))},
         parameters={"r": r, "k": k, "palette": palette,
                     "tight_degree_vertices": soft},
-        aux={"proper": dict(st.colors), "inner_edges": list(inner)},
     )
     return coloring, plan
 
@@ -565,11 +564,6 @@ def affine_component_coloring(N: int, n: int, r: int
     )
     if n < r * r:
         plan.parameters["below_recommended_n"] = True
-        warnings.warn(
-            f"affine coloring called with n={n} below the guidance n >= r^2 = {r * r}",
-            RuntimeWarning,
-            stacklevel=2,
-        )
     if N <= 1:
         return EdgeColoring(host, r), plan
     if N > capacity:
@@ -715,8 +709,7 @@ def weakbip_coloring(g: Graph, h: Graph, r: int
     _require_below(g, _weakbip_bound(p, r))
     k = p.delta2 - 1
     x, y = _degree_split(g, r * k - 1, Fraction(r * (p.n1 + p.n2), 2))
-    bucket_col, _ = vizing_bucket_coloring(g, x, r, k)
-    colors = dict(bucket_col.colors)
+    colors = _bucketed(g, x, r, k)
     y_colors, y_method = _color_small_part(
         g, y, n_bound=p.n1 + p.n2, first_color=r + 1, num_colors=r, target=h
     )
@@ -764,11 +757,9 @@ def gen2_coloring(g: Graph, h: Graph, r: int, seed: int = 0,
     n1, n2, d1, d2 = prof.n1, prof.n2, prof.delta1, prof.delta2
     k1 = d1 - 1
     x, y = _degree_split(g, r * k1 - 1, Fraction(r * n1, 2))
-    colors: dict[tuple[int, int], int] = {}
-    # intra-X buckets, colors 1..r
-    st = _proper_coloring(edges_within(g, x), r * k1)
-    for e, c in st.colors.items():
-        colors[e] = (c - 1) // k1 + 1
+    # intra-X buckets, colors 1..r; every case below recolors the X-to-Y
+    # edges the bucket lemma also colors
+    colors = _bucketed(g, x, r, k1)
     # inside Y, colors r+1..2r
     y_colors, y_method = _color_small_part(
         g, y, n_bound=n1 + n2, first_color=r + 1, num_colors=r, target=h
@@ -920,8 +911,7 @@ def double_star_coloring(g: Graph, h: Graph, r: int
     r_low = r // 2
     r_high = r - r_low
     x, y = _degree_split(g, r_low * m - 1, Fraction(r_high, 2) * (n + m))
-    bucket_col, _ = vizing_bucket_coloring(g, x, r_low, m)
-    colors = dict(bucket_col.colors)
+    colors = _bucketed(g, x, r_low, m)
     y_colors, y_method = _color_small_part(
         g, y, n_bound=n + m + 2, first_color=r_low + 1, num_colors=r_high,
         target=h,

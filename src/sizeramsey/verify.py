@@ -368,17 +368,12 @@ class EdgeColoring:
 
 @dataclass
 class ColoringPlan:
-    """How a coloring was produced: strategy name, vertex parts, parameters.
-
-    aux holds non-serialized working data (e.g. the proper edge coloring
-    underlying a bucketed one) for tests and diagnostics.
-    """
+    """How a coloring was produced: strategy name, vertex parts, parameters."""
 
     strategy: str
     parts: dict[str, tuple[int, ...]] = field(default_factory=dict)
     parameters: dict[str, object] = field(default_factory=dict)
     retries: int = 0
-    aux: dict = field(default_factory=dict, repr=False, compare=False)
 
 
 def mono_copy(coloring: EdgeColoring, target: Graph) -> tuple[int, Embedding] | None:

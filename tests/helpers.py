@@ -12,7 +12,6 @@ the alpha-full tree condition and the constants inequality for a and b.
 
 import itertools
 import math
-import warnings
 from fractions import Fraction
 from functools import lru_cache
 
@@ -21,7 +20,6 @@ import numpy as np
 from sizeramsey import (
     DomainError,
     Graph,
-    certify,
     complete_bipartite,
     cycle_graph,
     make_double_star,
@@ -225,21 +223,6 @@ def random_gnp(rng, n: int, p: float) -> Graph:
     return Graph(n, edges)
 
 
-def random_connected(rng, n: int, p: float, tries: int = 200) -> Graph:
-    from sizeramsey import is_connected
-
-    for _ in range(tries):
-        g = random_gnp(rng, n, p)
-        if is_connected(g):
-            return g
-    # fall back to a random tree plus noise; still a fair sample of the
-    # connected population, just with a different density profile
-    g = random_tree(rng, n)
-    extra = [e for e in itertools.combinations(range(n), 2)
-             if rng.random() < p and e not in g.edges]
-    return Graph(n, list(g.edges) + extra)
-
-
 def random_tree(rng, n: int) -> Graph:
     if n <= 1:
         return Graph(n)
@@ -334,8 +317,6 @@ BIPARTITE_POOL = [
     CASE3_TARGET,
 ]
 
-NONSTAR_BIPARTITE_POOL = [g for g in BIPARTITE_POOL]
-
 NONBIPARTITE_POOL = [
     cycle_graph(3),
     cycle_graph(5),
@@ -355,10 +336,10 @@ def coloring_instance(strategy: str, rng) -> dict:
         target = rng.choice(BECK_POOL)
         r = 2
     elif strategy == "weakbip":
-        target = rng.choice(NONSTAR_BIPARTITE_POOL)
+        target = rng.choice(BIPARTITE_POOL)
         r = rng.randint(2, 4)
     elif strategy == "gen2":
-        target = rng.choice(NONSTAR_BIPARTITE_POOL)
+        target = rng.choice(BIPARTITE_POOL)
         r = rng.randint(2, 4)
     elif strategy == "double_star":
         n, m = rng.randint(1, 5), rng.randint(1, 5)
@@ -399,13 +380,6 @@ def coloring_instance(strategy: str, rng) -> dict:
         "r": r,
         "seed": rng.randrange(2**30),
     }
-
-
-def run_instance(kwargs: dict):
-    """certify() with the affine small-n guidance warning silenced."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        return certify(**kwargs)
 
 
 def is_alpha_full(t: Graph, alpha: Fraction | int) -> bool:

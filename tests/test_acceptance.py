@@ -9,7 +9,6 @@ import functools
 import itertools
 import random
 import time
-import warnings
 import zlib
 from fractions import Fraction
 from math import ceil
@@ -24,6 +23,7 @@ from sizeramsey import (
     Graph,
     affine_component_coloring,
     appendix_trial,
+    certify,
     check_expansion,
     complete_bipartite,
     complete_graph,
@@ -41,6 +41,8 @@ from sizeramsey import (
     verify_certificate,
     vizing_bucket_coloring,
 )
+from sizeramsey.colorings import _proper_coloring
+from sizeramsey.graphs import edges_within
 
 
 def criterion(num: int, name: str, limit_s: float | None = None):
@@ -106,7 +108,7 @@ def test_criterion_03_coloring_certificates():
     for strategy in strategies:
         rng = random.Random(0xACCE97 + zlib.crc32(strategy.encode()) % 10_000)
         for _ in range(per_strategy):
-            cert = helpers.run_instance(helpers.coloring_instance(strategy, rng))
+            cert = certify(**helpers.coloring_instance(strategy, rng))
             fresh = verify_certificate(cert)
             assert fresh.verdict == "verified", (strategy, cert.plan, fresh.witness)
             assert cert.host.edge_count < cert.claimed_bound
@@ -118,9 +120,7 @@ def test_criterion_03_coloring_certificates():
 @criterion(4, "affine component bound", 60)
 def test_criterion_04_affine_component_bound():
     def components_small(N, n, r):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            coloring, plan = affine_component_coloring(N, n, r)
+        coloring, _ = affine_component_coloring(N, n, r)
         sizes = max_mono_component(coloring)
         assert sorted(sizes) == coloring.used_colors()
         assert all(s < n for s in sizes.values()), (N, n, r, sizes)
@@ -147,7 +147,7 @@ def test_criterion_05_bucketed_edge_coloring():
         r = rng.randint(1, 4)
         k = rng.randint(1, 3)
         x_set = [v for v in range(n) if g.degree(v) <= r * k]
-        coloring, plan = vizing_bucket_coloring(g, x_set, r, k)
+        coloring, _ = vizing_bucket_coloring(g, x_set, r, k)
 
         # each X vertex sees every bucket at most k times
         for v in x_set:
@@ -159,9 +159,10 @@ def test_criterion_05_bucketed_edge_coloring():
             assert all(load <= k for load in loads.values()), (v, loads, r, k)
 
         # the underlying fine coloring is proper on G[X]
-        proper = plan.aux["proper"]
+        inner = edges_within(g, x_set)
+        proper = _proper_coloring(inner, r * k).colors
         seen = {}
-        for u, w in plan.aux["inner_edges"]:
+        for u, w in inner:
             c = proper[(u, w)]
             for end in (u, w):
                 assert (end, c) not in seen, (end, c)

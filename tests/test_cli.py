@@ -154,12 +154,13 @@ def test_certify_out_dash_is_stdout(capsys, tmp_path, monkeypatch):
 
 def test_certify_affine_default_host_is_the_capacity_clique(capsys):
     # q = 2 and cells of (5 - 1) // 2 = 2 vertices give AG(2, 2)'s 8
-    with pytest.warns(RuntimeWarning):
-        rc = main(["certify", "--strategy", "affine", "--target", "path:5",
-                   "-r", "3"])
+    rc = main(["certify", "--strategy", "affine", "--target", "path:5",
+               "-r", "3"])
     captured = capsys.readouterr()
     assert rc == 0
     doc = json.loads(captured.out)
+    # n = 5 is below the guidance n >= r^2, which only the certificate says
+    assert doc["parameters"]["below_recommended_n"] is True
     assert same(parse_graph6(doc["host_graph6"]), complete_graph(8))
     assert "host: 8 vertices, 28 edges" in captured.err
     assert "verdict: verified" in captured.err

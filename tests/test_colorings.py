@@ -39,7 +39,12 @@ from sizeramsey import (
     weakbip_coloring,
 )
 
-from sizeramsey.colorings import _component_bounded_search, _exhaustive_proper
+from sizeramsey.colorings import (
+    _component_bounded_search,
+    _exhaustive_proper,
+    _proper_coloring,
+)
+from sizeramsey.graphs import edges_within
 
 import helpers
 
@@ -75,7 +80,7 @@ def test_vizing_bucket_random_instances():
         g = helpers.random_gnp(rng, n, rng.uniform(0.2, 0.8))
         r, k = rng.randint(1, 4), rng.randint(1, 3)
         x = frozenset(v for v in g.vertices() if g.degree(v) <= r * k - 1)
-        coloring, plan = vizing_bucket_coloring(g, x, r, k)
+        coloring, _ = vizing_bucket_coloring(g, x, r, k)
         # every X-incident edge colored, nothing else
         for e in g.edges:
             touched = e[0] in x or e[1] in x
@@ -83,7 +88,11 @@ def test_vizing_bucket_random_instances():
         for v in x:
             for c, d in per_color_degrees(coloring, v).items():
                 assert d <= k, (v, c, d)
-        assert proper_on(plan.aux["proper"], plan.aux["inner_edges"])
+        # G[X] carries the proper coloring with rk colors, bucketed
+        inner = edges_within(g, x)
+        fine = _proper_coloring(inner, r * k).colors
+        assert proper_on(fine, inner)
+        assert all(coloring.get(*e) == (fine[e] - 1) // k + 1 for e in inner)
 
 
 def test_vizing_bucket_rejects_high_degree():
@@ -194,9 +203,7 @@ def test_component_bounded_search_is_the_first_bounded_coloring():
 
 
 def test_affine_component_bound_base_case():
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        coloring, plan = affine_component_coloring(8, 5, 3)
+    coloring, plan = affine_component_coloring(8, 5, 3)
     comp = max_mono_component(coloring)
     assert set(comp) == {1, 2, 3}
     assert all(size < 5 for size in comp.values()), comp
@@ -205,27 +212,35 @@ def test_affine_component_bound_base_case():
 
 
 def test_affine_capacity_error():
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        with pytest.raises(CapacityError) as err:
-            affine_component_coloring(17, 5, 3)  # capacity 2^2 * 2 = 8
+    with pytest.raises(CapacityError) as err:
+        affine_component_coloring(17, 5, 3)  # capacity 2^2 * 2 = 8
     assert err.value.max_value == 8
 
 
-def test_affine_warns_below_guidance():
-    with pytest.warns(RuntimeWarning):
-        affine_component_coloring(4, 5, 3)  # n = 5 < r^2 = 9
+def test_affine_records_below_guidance():
+    _, plan = affine_component_coloring(4, 5, 3)  # n = 5 < r^2 = 9
+    assert plan.parameters["below_recommended_n"] is True
+    _, plan = affine_component_coloring(4, 9, 3)
+    assert "below_recommended_n" not in plan.parameters
+
+
+def test_certify_affine_below_guidance_under_an_error_filter():
+    # below the guidance n >= r^2 = 9 the certificate records the fact and
+    # nothing is raised beside it
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        cert = certify("affine", complete_graph(4), path_graph(4), 3)
+    assert cert.verdict == "verified"
+    assert cert.plan.parameters["below_recommended_n"] is True
 
 
 def test_affine_trivial_and_domain_cases():
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        coloring, _ = affine_component_coloring(1, 4, 3)
-        # every cell is empty: no prime power is searched for, so the
-        # plan of the edgeless host records q = 0 at once
-        start = time.perf_counter()
-        _, plan = affine_component_coloring(1, 4, 10 ** 18)
-        assert time.perf_counter() - start < 1
+    coloring, _ = affine_component_coloring(1, 4, 3)
+    # every cell is empty: no prime power is searched for, so the plan of
+    # the edgeless host records q = 0 at once
+    start = time.perf_counter()
+    _, plan = affine_component_coloring(1, 4, 10 ** 18)
+    assert time.perf_counter() - start < 1
     assert coloring.host.vertex_count == 1
     assert plan.parameters["q"] == 0
     with pytest.raises(DomainError):
@@ -244,9 +259,7 @@ def test_affine_random_component_bounds():
         n = rng.randint(q + 1, 20)
         cap = q * q * ((n - 1) // q)
         big = rng.randint(2, min(cap, 24))
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            coloring, _ = affine_component_coloring(big, n, r)
+        coloring, _ = affine_component_coloring(big, n, r)
         assert max(max_mono_component(coloring).values()) < n
 
 
@@ -499,7 +512,7 @@ def test_certify_runs_every_strategy():
     for strategy in STRATEGIES:
         for _ in range(12):
             kwargs = helpers.coloring_instance(strategy, rng)
-            cert = helpers.run_instance(kwargs)
+            cert = certify(**kwargs)
             assert cert.verdict == "verified", (strategy, kwargs)
             assert cert.plan.strategy == strategy
             assert cert.host.edge_count < cert.claimed_bound
@@ -513,8 +526,8 @@ def test_certify_is_seed_deterministic():
 
     rng = random.Random(42)
     kwargs = helpers.coloring_instance("chi3", rng)
-    a = certificate_to_json(helpers.run_instance(kwargs))
-    b = certificate_to_json(helpers.run_instance(kwargs))
+    a = certificate_to_json(certify(**kwargs))
+    b = certificate_to_json(certify(**kwargs))
     assert a == b
 
 
@@ -560,16 +573,14 @@ def test_certify_verifies_a_construction_once(monkeypatch):
     rng = random.Random(0xFEED)
     for strategy in ("weakbip", "gen2"):
         calls.clear()
-        cert = helpers.run_instance(helpers.coloring_instance(strategy, rng))
+        cert = certify(**helpers.coloring_instance(strategy, rng))
         assert cert.verdict == "verified"
         assert "fallback" not in cert.plan.parameters
         assert len(calls) == 1, strategy
 
 
 def test_certify_affine_records_component_bound():
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        cert = certify("affine", complete_graph(8), path_graph(5), 3)
+    cert = certify("affine", complete_graph(8), path_graph(5), 3)
     assert cert.verdict == "verified"
     assert cert.plan.parameters["n"] == 5
     assert max(max_mono_component(cert.coloring).values()) < 5

@@ -14,7 +14,6 @@ change of behaviour:
 import json
 import os
 import random
-import warnings
 from fractions import Fraction
 
 from sizeramsey import (
@@ -40,6 +39,8 @@ from sizeramsey import (
     star,
     vizing_bucket_coloring,
 )
+from sizeramsey.colorings import _proper_coloring
+from sizeramsey.graphs import edges_within
 
 import helpers
 
@@ -128,10 +129,8 @@ def _searches() -> dict[str, str]:
 def _certificates() -> dict[str, str]:
     out = {}
     for strategy, host, target, r, seed, split in CERTIFICATES:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            cert = certify(strategy, parse_graph6(host), parse_graph6(target), r,
-                           seed=seed, case3_split=split)
+        cert = certify(strategy, parse_graph6(host), parse_graph6(target), r,
+                       seed=seed, case3_split=split)
         out[f"cert/{strategy}/{host}/{target}/{r}/{split}"] = certificate_to_json(cert)
     return out
 
@@ -170,8 +169,9 @@ def _embeddings() -> dict[str, str]:
     edges.update({(v, v + 1): 2 for v in (10, 11, 12, 13)})
     coloring = EdgeColoring(Graph(15, edges), 2, edges)
     out["mono_copy/components/P4"] = json.dumps(mono_copy(coloring, path_graph(4)))
-    _, plan = vizing_bucket_coloring(complete_graph(4), range(4), 3, 1)
-    out["vizing_bucket/K4/3/1"] = json.dumps(sorted(plan.aux["proper"].items()))
+    # the proper coloring under the bucket lemma on K4 with 3 * 1 colors
+    proper = _proper_coloring(edges_within(complete_graph(4), range(4)), 3)
+    out["vizing_bucket/K4/3/1"] = json.dumps(sorted(proper.colors.items()))
     return out
 
 

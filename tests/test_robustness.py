@@ -4,9 +4,10 @@ The graph6 and edge-list parsers and the certificate loader raise only
 package errors on any input, fuzzed here with Hypothesis in derandomized
 mode so every run draws the same cases.  No check in the package lives in
 an assert statement, which python -O strips, and no function but one
-whose depth is bounded by its input's nesting calls itself.  The coloring
-search's embedding kernel and the set kernel that re-checks its witnesses
-reach no code of each other.
+whose depth is bounded by its input's nesting calls itself.  No module
+imports warnings: what a construction has to say goes into its plan.  The
+coloring search's embedding kernel and the set kernel that re-checks its
+witnesses reach no code of each other.
 """
 
 import ast
@@ -216,6 +217,28 @@ def test_no_unused_imports_in_the_package():
             unused += [f"{name}:{line} {bound}" for bound, line in sorted(imported.items())
                        if bound not in used]
     assert unused == []
+
+
+def test_no_module_in_the_package_imports_warnings():
+    # a construction reports through its plan, which the certificate
+    # serializes; a warning beside it reaches no reader of the certificate
+    root = os.path.dirname(sizeramsey.__file__)
+    found = []
+    for name in sorted(os.listdir(root)):
+        if name.endswith(".py"):
+            path = os.path.join(root, name)
+            with open(path, encoding="utf-8") as fh:
+                tree = ast.parse(fh.read(), filename=path)
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Import):
+                    modules = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom):
+                    modules = [node.module or ""]
+                else:
+                    continue
+                found += [f"{name}:{node.lineno}" for module in modules
+                          if module.split(".")[0] == "warnings"]
+    assert found == []
 
 
 def test_no_public_name_is_exported_by_two_modules():

@@ -234,8 +234,8 @@ def test_verify_cost_does_not_grow_with_the_palette():
     assert fresh.verdict == "verified" and fresh.r == 10 ** 9
     # nor does recomputing the affine bound: with r >= 2n - 1 every cell is
     # empty and the bound is 1, without a search for the prime power q
-    with pytest.warns(RuntimeWarning, match="below the guidance"):
-        cert = certify("affine", complete_graph(1), path_graph(3), 3)
+    cert = certify("affine", complete_graph(1), path_graph(3), 3)
+    assert cert.plan.parameters["below_recommended_n"] is True
     doc = json.loads(certificate_to_json(cert))
     doc["r"] = 10 ** 30
     doc["claimed_bound"] = {"num": 1, "den": 1}
@@ -249,8 +249,8 @@ def test_affine_component_check_ignores_the_editable_plan():
     # K4 recolored without a monochromatic P4, but color 1 is a star on all
     # four vertices: the tag and the target fix the component bound, so no
     # edit of the plan's strategy or n switches the check off
-    with pytest.warns(RuntimeWarning, match="below the guidance"):
-        cert = certify("affine", complete_graph(4), path_graph(4), 3)
+    cert = certify("affine", complete_graph(4), path_graph(4), 3)
+    assert cert.plan.parameters["below_recommended_n"] is True
     recolor = {(0, 1): 1, (0, 2): 1, (0, 3): 1, (1, 2): 2, (2, 3): 2, (1, 3): 3}
     refuted = {"kind": "component", "color": 1, "size": 4, "bound": 4}
     for key, value in ((None, None), ("n", 100), ("strategy", "beck"),
