@@ -6,8 +6,9 @@ base-p digits (low-order digit = constant term), so for prime q it is the
 residue mod p.  Both q x q tables are built directly: addition digit by
 digit mod p, multiplication by shifting digits up and folding the top
 digit back through the modulus x^k + low(x), the lexicographically first
-monic irreducible of degree k (see make_field).  They are cheap for the
-supported range q <= 64 and built once per field.
+monic irreducible of degree k (see make_field).  Negation and inverse
+tables are read off them, so every field operation is a lookup.  All four
+are cheap for the supported range q <= 64 and built once per field.
 """
 
 from __future__ import annotations
@@ -60,6 +61,9 @@ class FiniteField:
     modulus: tuple[int, ...] | None
     _add: tuple[tuple[int, ...], ...] = field(repr=False)
     _mul: tuple[tuple[int, ...], ...] = field(repr=False)
+    _neg: tuple[int, ...] = field(repr=False)
+    # _inv[0] is a placeholder: zero has no inverse
+    _inv: tuple[int, ...] = field(repr=False)
 
     @property
     def elements(self) -> range:
@@ -80,23 +84,15 @@ class FiniteField:
         return self._mul[a][b]
 
     def neg(self, a: int) -> int:
-        row = self._add[a]
-        for b in range(self.q):
-            if row[b] == 0:
-                return b
-        raise AssertionError("element without additive inverse")
+        return self._neg[a]
 
     def sub(self, a: int, b: int) -> int:
-        return self._add[a][self.neg(b)]
+        return self._add[a][self._neg[b]]
 
     def inv(self, a: int) -> int:
         if a == 0:
             raise DomainError("zero has no multiplicative inverse")
-        row = self._mul[a]
-        for b in range(1, self.q):
-            if row[b] == 1:
-                return b
-        raise AssertionError("nonzero element without inverse")
+        return self._inv[a]
 
     def div(self, a: int, b: int) -> int:
         return self.mul(a, self.inv(b))
@@ -168,7 +164,10 @@ def make_field(q: int) -> FiniteField:
     else:
         raise AssertionError(f"no irreducible polynomial of degree {k} over GF({p})")
     modulus = tuple(low) + (1,) if k > 1 else None
-    fieldobj = FiniteField(q, p, k, modulus, add, mul)
+    # every row of add holds a 0, and every nonzero row of mul a 1
+    neg = tuple(row.index(0) for row in add)
+    inv = (0,) + tuple(row.index(1) for row in mul[1:])
+    fieldobj = FiniteField(q, p, k, modulus, add, mul, neg, inv)
     _FIELD_CACHE[q] = fieldobj
     return fieldobj
 
