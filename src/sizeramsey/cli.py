@@ -281,8 +281,7 @@ def _cmd_certify(args) -> int:
         host = parse_graph_spec(args.host, args.format)
     else:
         host = _auto_host(args.strategy, target, args.r, args.seed)
-    cert = certify(args.strategy, host, target, args.r, seed=args.seed,
-                   case3_split=args.case3_split)
+    cert = certify(args.strategy, host, target, args.r, seed=args.seed)
     _write_text(certificate_to_json(cert), args.out)
     print(f"strategy: {cert.theorem_tag}", file=sys.stderr)
     print(f"host: {cert.host.vertex_count} vertices, {cert.host.edge_count} edges "
@@ -465,7 +464,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="host graph spec; omit to auto-build one at the bound")
     p.add_argument("-r", type=int, default=2)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--case3-split", choices=["3.1", "3.2"], default=None)
     p.add_argument("--out", default=None, metavar="FILE",
                    help="write the certificate JSON to FILE instead of stdout "
                         "('-' for stdout)")

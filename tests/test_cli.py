@@ -398,8 +398,10 @@ def test_every_subcommand_option_is_read_by_its_handler():
     ["verify", "cert.json", "--json-out", "F"],
     ["verify", "cert.json", "--format", "edgelist"],
     ["plane-dump", "-q", "3", "--format", "edgelist"],
+    # gen2 picks its own subcase; only the library keyword forces one
+    ["certify", "--strategy", "gen2", "--target", "path:6", "--case3-split", "3.2"],
 ], ids=["certify-json-out", "verify-json-out", "verify-format",
-        "plane-dump-format"])
+        "plane-dump-format", "certify-case3-split"])
 def test_options_a_subcommand_does_not_read_are_refused(capsys, tmp_path,
                                                         monkeypatch, argv):
     monkeypatch.chdir(tmp_path)
