@@ -356,7 +356,8 @@ def size_ramsey_exact(h: Graph, r: int, emax: int,
     Hosts with at most r(e(h)-1) edges are ruled out by proof, not search:
     split their edges into r colors of at most e(h)-1 edges each and no
     color holds a copy of h.  The search starts at r(e(h)-1)+1 edges; the
-    smaller levels are still grown, as parents of the next.
+    smaller levels are still grown, as parents of the next, and none is
+    grown when that start exceeds emax.
     The target's anchored plans, one per orbit of its oriented edges, are
     compiled once per call, and every host goes through _arrows, the
     search and free-witness re-check of arrows, over those plans.
@@ -379,7 +380,8 @@ def size_ramsey_exact(h: Graph, r: int, emax: int,
     unknown: list[tuple[int, str]] = []
     found_e: int | None = None
     found_host: str | None = None
-    for e, graphs in _grow_levels(emax, None):
+    levels = _grow_levels(emax, None) if start <= emax else ()
+    for e, graphs in levels:
         if e < start:
             continue
         for g in graphs:
@@ -393,7 +395,7 @@ def size_ramsey_exact(h: Graph, r: int, emax: int,
                 unknown.append((e, emit_graph6(g)))
         if found_e is not None:
             break
-    lower = found_e if found_e is not None else emax + 1
+    lower = found_e if found_e is not None else max(emax + 1, start)
     if unknown:
         lower = min(lower, min(e for e, _ in unknown))
     status = "exact" if found_e is not None and lower == found_e else "open"

@@ -289,7 +289,8 @@ def test_exact_resolves_smallest_star(capsys, tmp_path):
 def test_exact_open_is_exit_3(capsys):
     assert main(["exact", "--target", "star:3", "-r", "2", "--emax", "3"]) == 3
     plain = capsys.readouterr().out
-    assert plain == "open: lower 4, upper none found (0 hosts hit the budget)\n"
+    # 4 edges split into two colors of two, so K_{1,3} needs 5
+    assert plain == "open: lower 5, upper none found (0 hosts hit the budget)\n"
     # --cross-check prints its bound lines, then the same bracket
     assert main(["exact", "--target", "star:3", "-r", "2", "--emax", "3",
                  "--cross-check"]) == 3

@@ -391,7 +391,7 @@ def test_exact_open_when_emax_short():
     res = size_ramsey_exact(star(3), 2, emax=3)
     assert res.status == "open"
     assert res.value is None and res.upper is None
-    assert res.lower == 4
+    assert res.lower == 5
 
 
 def test_exact_budget_collects_unknowns():
@@ -421,6 +421,27 @@ def test_exact_search_starts_at_the_pigeonhole_bound(monkeypatch, target, r):
     res = size_ramsey_exact(target, r, emax=7)
     assert res.status == "exact" and res.value == 7
     assert searched and min(searched) == r * (target.edge_count - 1) + 1
+
+
+@pytest.mark.parametrize("target, r, emax, lower",
+                         [(star(6), 6, 11, 31), (path_graph(4), 3, 5, 7)],
+                         ids=["S6-6", "P4-3"])
+def test_exact_below_the_pigeonhole_bound_grows_no_level(monkeypatch, target,
+                                                          r, emax, lower):
+    # with emax below r(e(H)-1)+1 every host in range is ruled out by
+    # proof: the lower end is that start, and no host is enumerated
+    calls = []
+    original = oracle.canonical_form
+
+    def counting(g):
+        calls.append(g)
+        return original(g)
+
+    monkeypatch.setattr(oracle, "canonical_form", counting)
+    res = size_ramsey_exact(target, r, emax=emax)
+    assert res.status == "open" and res.upper is None
+    assert res.lower == lower and res.nodes == 0
+    assert calls == []
 
 
 def test_exact_compiles_the_target_once_per_call(monkeypatch):
