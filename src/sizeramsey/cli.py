@@ -39,7 +39,6 @@ from .expander import ExpanderParams, appendix_trial
 from .geometry import make_affine_plane
 from .graphs import (
     Graph,
-    beta,
     complete_bipartite,
     complete_graph,
     cycle_graph,
@@ -182,8 +181,6 @@ def _cmd_analyze(args) -> int:
         "tree": is_tree(g),
         "r": r,
     }
-    if args.beta:
-        doc["beta"] = beta(g)  # raises DomainError on non-bipartite targets
     print(f"vertices: {doc['vertices']}")
     print(f"edges: {doc['edges']}")
     print(f"max degree: {doc['max_degree']}")
@@ -246,9 +243,7 @@ def _auto_host(strategy: str, target: Graph, r: int, seed: int) -> Graph:
     if e_host < 1:
         raise DomainError(f"the bound {bound} admits no host with edges")
     _require_buildable(e_host)
-    n = max(4, math.isqrt(4 * e_host))
-    while n * (n - 1) // 2 < e_host:
-        n += 1
+    n = max(4, math.isqrt(4 * e_host))  # holds e_host edges for every e_host >= 1
     n = min(n, e_host + 1)  # 1 or 2 edges cannot connect 4 vertices
     rng = random.Random(seed)
     g = Graph(n, _sample_pairs(rng, n, e_host))
@@ -451,9 +446,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="profile, bounds, and shape of a target")
     p.add_argument("target")
     p.add_argument("-r", type=int, default=2)
-    p.add_argument("--beta", action="store_true",
-                   help="insist on the bipartite weight; errors on "
-                        "non-bipartite targets")
     p.set_defaults(func=_cmd_analyze)
 
     p = sub.add_parser("certify", parents=[fmt],

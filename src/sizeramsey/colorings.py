@@ -1107,7 +1107,6 @@ def certify(strategy: str, host: Graph, target: Graph, r: int, seed: int = 0,
     _, bound, construct = _strategy_row(strategy)
     coloring, plan = construct(host, target, r, seed, case3_split)
     cert = verify_certificate(Certificate(
-        host=coloring.host,
         target=target,
         r=coloring.r,
         coloring=coloring,

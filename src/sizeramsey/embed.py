@@ -87,8 +87,6 @@ def greedy_tree_embed(host: Graph, tree: Graph) -> dict[int, int] | None:
     if not is_tree(tree):
         raise DomainError("greedy_tree_embed requires a tree target")
     nt = tree.vertex_count
-    if nt == 0:
-        return {}
     if nt > host.vertex_count:
         return None
     root = max(tree.vertices(), key=lambda v: (tree.degree(v), -v))

@@ -65,26 +65,11 @@ class FiniteField:
     # _inv[0] is a placeholder: zero has no inverse
     _inv: tuple[int, ...] = field(repr=False)
 
-    @property
-    def elements(self) -> range:
-        return range(self.q)
-
-    @property
-    def zero(self) -> int:
-        return 0
-
-    @property
-    def one(self) -> int:
-        return 1
-
     def add(self, a: int, b: int) -> int:
         return self._add[a][b]
 
     def mul(self, a: int, b: int) -> int:
         return self._mul[a][b]
-
-    def neg(self, a: int) -> int:
-        return self._neg[a]
 
     def sub(self, a: int, b: int) -> int:
         return self._add[a][self._neg[b]]
@@ -96,18 +81,6 @@ class FiniteField:
 
     def div(self, a: int, b: int) -> int:
         return self.mul(a, self.inv(b))
-
-    def pow(self, a: int, e: int) -> int:
-        if e < 0:
-            a, e = self.inv(a), -e
-        out = 1
-        base = a
-        while e:
-            if e & 1:
-                out = self.mul(out, base)
-            base = self.mul(base, base)
-            e >>= 1
-        return out
 
 
 _FIELD_CACHE: dict[int, FiniteField] = {}
@@ -192,9 +165,6 @@ class AffinePlane:
     @property
     def point_count(self) -> int:
         return self.q * self.q
-
-    def point_index(self, x: int, y: int) -> int:
-        return x * self.q + y
 
     def class_of_pair(self, p1: int, p2: int) -> int:
         """Parallel-class index of the unique line through two distinct points."""

@@ -290,15 +290,9 @@ def is_double_star(h: Graph) -> tuple[int, int] | None:
     centers = [v for v in h.vertices() if h.degree(v) >= 2]
     if len(centers) != 2:
         return None
-    c1, c2 = centers
-    if not h.has_edge(c1, c2):
-        return None
-    n = h.degree(c1) - 1
-    m = h.degree(c2) - 1
-    if n < m:
-        n, m = m, n
-    if n < 1 or m < 1:
-        return None
+    # a vertex inside the path joining the two centers would be a third
+    # center, so they are adjacent, and each has a leaf
+    n, m = sorted((h.degree(v) - 1 for v in centers), reverse=True)
     return n, m
 
 

@@ -239,8 +239,6 @@ def _grow_levels(emax: int, vmax: int | None):
     order and every level are those of the generator that tries every
     child.
     """
-    if emax < 1:
-        return
     k2 = Graph(2, [(0, 1)])
     level = {canonical_form(k2): k2}
     yield 1, [k2]
@@ -429,28 +427,18 @@ def cross_check_bounds(h: Graph, r: int, emax: int,
     upper = upper_bound_value(h, r) if is_tree(h) else None
     exact = size_ramsey_exact(h, r, emax, node_budget)
     violations: list[str] = []
-    need = math.ceil(lower)
-    # an "exact" status always carries its value
-    if exact.value is not None:
-        if exact.value < need:
-            violations.append(
-                f"exact value {exact.value} is below the {tag} lower bound {lower}"
-            )
-        if upper is not None and exact.value > upper:
-            violations.append(
-                f"exact value {exact.value} exceeds the tree upper bound {upper}"
-            )
-    else:
-        if exact.upper is not None and exact.upper < need:
-            violations.append(
-                f"an arrowing host with {exact.upper} edges beats the "
-                f"{tag} lower bound {lower}"
-            )
-        if upper is not None and exact.lower > upper:
-            violations.append(
-                f"all hosts up to {exact.lower - 1} edges were eliminated, "
-                f"contradicting the tree upper bound {upper}"
-            )
+    # an "exact" result has value == lower == upper, so one pair of
+    # checks covers it and an open result alike
+    if exact.upper is not None and exact.upper < math.ceil(lower):
+        violations.append(
+            f"an arrowing host with {exact.upper} edges beats the "
+            f"{tag} lower bound {lower}"
+        )
+    if upper is not None and exact.lower > upper:
+        violations.append(
+            f"all hosts up to {exact.lower - 1} edges were eliminated, "
+            f"contradicting the tree upper bound {upper}"
+        )
     return {
         "target_graph6": emit_graph6(h),
         "r": r,

@@ -193,8 +193,6 @@ def _backtrack_embed(
     """
     order, parents, need, twin = plan
     n = len(order)
-    if n == 0:
-        return {}
     k = len(prefix)
     images: list[int] = [-1] * n
     used: set[int] = set()
@@ -477,7 +475,6 @@ class Certificate:
     coloring must contain no monochromatic copy of the target.
     """
 
-    host: Graph
     target: Graph
     r: int
     coloring: EdgeColoring
@@ -488,6 +485,10 @@ class Certificate:
     verdict: str = "unverified"
     witness: dict | None = None
 
+    @property
+    def host(self) -> Graph:
+        return self.coloring.host
+
 
 def _structural_violations(cert: Certificate) -> list[str]:
     problems: list[str] = []
@@ -495,8 +496,6 @@ def _structural_violations(cert: Certificate) -> list[str]:
         problems.append(f"r must be >= 1, got {cert.r}")
     if cert.claimed_bound <= 0:
         problems.append(f"claimed_bound must be positive, got {cert.claimed_bound}")
-    if cert.coloring.host != cert.host:
-        problems.append("coloring host differs from certificate host")
     for (u, v), c in sorted(cert.coloring.colors.items()):
         if not 1 <= c <= cert.r:
             problems.append(f"edge ({u}, {v}) has color {c} outside 1..{cert.r}")
@@ -677,7 +676,6 @@ def certificate_from_json(text: str) -> Certificate:
         parameters=parameters,
     )
     return Certificate(
-        host=host,
         target=target,
         r=r,
         coloring=coloring,

@@ -10,6 +10,7 @@ import random
 import resource
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -104,9 +105,13 @@ def test_analyze_tree(capsys, tmp_path):
     assert doc["upper_bound_host"] == list(doc["upper_bound_host"])
 
 
-def test_analyze_beta_flag_rejects_odd_cycle(capsys):
-    assert main(["analyze", "cycle:5", "--beta"]) == 2
-    assert "error:" in capsys.readouterr().err
+def test_analyze_odd_cycle_reports_no_beta(capsys, tmp_path):
+    # beta is written only for a connected bipartite target
+    out = tmp_path / "a.json"
+    assert main(["analyze", "cycle:5", "--json-out", str(out)]) == 0
+    assert "beta" not in capsys.readouterr().out
+    doc = json.loads(out.read_text())
+    assert doc["bipartite"] is False and "beta" not in doc
 
 
 def test_analyze_star_notes_exact_formula(capsys):
@@ -170,7 +175,7 @@ def test_verify_flags_refuted_certificate(capsys, tmp_path):
     # a one-color K5 plainly contains the path, so verification must refute
     host = complete_graph(5)
     col = EdgeColoring(host, 2, {e: 1 for e in host.edges})
-    cert = Certificate(host=host, target=path_graph(3), r=2, coloring=col,
+    cert = Certificate(target=path_graph(3), r=2, coloring=col,
                        plan=ColoringPlan(strategy="handmade"),
                        claimed_bound=100, theorem_tag="handmade",
                        verdict="unverified")
@@ -297,6 +302,16 @@ def test_exact_open_is_exit_3(capsys):
     assert capsys.readouterr().out.endswith("\n" + plain)
 
 
+def test_exact_cross_check_violation_is_exit_1(capsys, monkeypatch):
+    from sizeramsey import oracle
+    monkeypatch.setattr(oracle, "lower_bound_value",
+                        lambda h, r: (Fraction(4), "planted"))
+    assert main(["exact", "--target", "star:2", "-r", "2", "--emax", "3",
+                 "--cross-check"]) == 1
+    assert ("VIOLATION: an arrowing host with 3 edges beats the planted "
+            "lower bound 4\n") in capsys.readouterr().out
+
+
 def test_exact_has_no_vertex_cap(capsys):
     # a cap cut off P4's 7-edge host D}g yet still reported lower 11
     assert main(["exact", "--target", "path:4", "-r", "2", "--emax", "10",
@@ -395,13 +410,14 @@ def test_every_subcommand_option_is_read_by_its_handler():
 
 
 @pytest.mark.parametrize("argv", [
+    ["analyze", "cycle:5", "--beta"],
     ["certify", "--strategy", "beck", "--target", "path:4", "--json-out", "F"],
     ["verify", "cert.json", "--json-out", "F"],
     ["verify", "cert.json", "--format", "edgelist"],
     ["plane-dump", "-q", "3", "--format", "edgelist"],
     # gen2 picks its own subcase; only the library keyword forces one
     ["certify", "--strategy", "gen2", "--target", "path:6", "--case3-split", "3.2"],
-], ids=["certify-json-out", "verify-json-out", "verify-format",
+], ids=["analyze-beta", "certify-json-out", "verify-json-out", "verify-format",
         "plane-dump-format", "certify-case3-split"])
 def test_options_a_subcommand_does_not_read_are_refused(capsys, tmp_path,
                                                         monkeypatch, argv):

@@ -40,8 +40,8 @@ def test_prime_power_decompose():
 @pytest.mark.parametrize("q", PRIME_POWERS_16)
 def test_field_axioms_exhaustive(q):
     f = make_field(q)
-    els = list(f.elements)
-    assert f.add(f.zero, f.one) == f.one
+    els = range(q)
+    assert f.add(0, 1) == 1
     for a, b in itertools.product(els, els):
         assert f.add(a, b) == f.add(b, a)
         assert f.mul(a, b) == f.mul(b, a)
@@ -53,25 +53,29 @@ def test_field_axioms_exhaustive(q):
         assert f.mul(f.mul(a, b), c) == f.mul(a, f.mul(b, c))
         assert f.mul(a, f.add(b, c)) == f.add(f.mul(a, b), f.mul(a, c))
     for a in els:
-        assert f.add(a, f.zero) == a
-        assert f.mul(a, f.one) == a
-        assert f.add(a, f.neg(a)) == 0
+        assert f.add(a, 0) == a
+        assert f.mul(a, 1) == a
+        assert f.add(a, f.sub(0, a)) == 0
         if a != 0:
             assert f.mul(a, f.inv(a)) == 1
-            assert f.pow(a, q - 1) == 1  # multiplicative group order divides q-1
+            # the multiplicative group's order divides q-1
+            power = 1
+            for _ in range(q - 1):
+                power = f.mul(power, a)
+            assert power == 1
 
 
 def test_field_characteristic():
     f = make_field(8)
     assert (f.p, f.k) == (2, 3)
     # adding one to itself p times returns to zero
-    acc = f.one
+    acc = 1
     for _ in range(f.p - 1):
-        acc = f.add(acc, f.one)
+        acc = f.add(acc, 1)
     assert f.add(acc, 0) != 0 or f.p == 2
     total = 0
     for _ in range(f.p):
-        total = f.add(total, f.one)
+        total = f.add(total, 1)
     assert total == 0
 
 
@@ -121,8 +125,9 @@ def test_vertical_class_is_last():
     plane = make_affine_plane(4)
     q = plane.q
     # two points with the same x coordinate lie on a vertical line
-    assert plane.class_of_pair(plane.point_index(2, 0), plane.point_index(2, 3)) == q
-    assert plane.class_of_pair(plane.point_index(0, 1), plane.point_index(1, 1)) == 0
+    # point (x, y) has index x*q + y
+    assert plane.class_of_pair(2 * q + 0, 2 * q + 3) == q
+    assert plane.class_of_pair(0 * q + 1, 1 * q + 1) == 0
 
 
 def test_make_affine_plane_rejects_non_prime_power():

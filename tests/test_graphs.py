@@ -2,6 +2,7 @@
 
 import random
 
+import networkx as nx
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -99,6 +100,20 @@ def test_star_and_double_star_recognition():
     assert is_double_star(path_graph(4)) == (1, 1)
     assert is_double_star(star(4)) is None
     assert is_double_star(cycle_graph(4)) is None
+
+
+def test_double_star_recognition_matches_isomorphism():
+    # every tree on at most 10 vertices against networkx's isomorphism
+    # test, which shares none of is_double_star's reasoning
+    for order in range(1, 11):
+        shapes = [(n, order - 2 - n) for n in range(1, order - 2)
+                  if n >= order - 2 - n]
+        for tree in nx.nonisomorphic_trees(order):
+            matches = [nm for nm in shapes if nx.is_isomorphic(
+                tree, helpers.to_networkx(make_double_star(*nm)))]
+            assert len(matches) <= 1
+            got = is_double_star(helpers.from_networkx(tree))
+            assert got == (matches[0] if matches else None), sorted(tree.edges)
 
 
 def test_profile_canonical_orientation():

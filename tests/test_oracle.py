@@ -3,6 +3,8 @@ arrowing, exact size-Ramsey values, and the bound cross-checker."""
 
 import hashlib
 import random
+from dataclasses import replace
+from fractions import Fraction
 
 import networkx as nx
 import pytest
@@ -484,6 +486,46 @@ def test_cross_check_star_consistent():
     assert report["upper_bound"] is not None
     assert report["upper_bound"] >= 3
     assert report["r"] == 2
+
+
+def _planted(monkeypatch, lower=None, upper=None):
+    # bounds the package never gives, to reach each contradiction
+    if lower is not None:
+        monkeypatch.setattr(oracle, "lower_bound_value",
+                            lambda h, r: (Fraction(lower), "planted"))
+    if upper is not None:
+        monkeypatch.setattr(oracle, "upper_bound_value", lambda h, r: upper)
+
+
+def test_cross_check_reports_contradictions_on_an_exact_result(monkeypatch):
+    _planted(monkeypatch, lower=4, upper=2)
+    report = cross_check_bounds(star(2), 2, emax=3)
+    assert report["exact"]["status"] == "exact" and report["exact"]["value"] == 3
+    assert report["violations"] == [
+        "an arrowing host with 3 edges beats the planted lower bound 4",
+        "all hosts up to 2 edges were eliminated, contradicting the tree "
+        "upper bound 2",
+    ]
+
+
+def test_cross_check_reports_contradictions_on_an_open_result(monkeypatch):
+    # emax 2 is below the pigeonhole start 3: open, lower 3, no upper
+    _planted(monkeypatch, upper=2)
+    report = cross_check_bounds(star(2), 2, emax=2)
+    assert report["exact"]["status"] == "open"
+    assert report["exact"]["upper"] is None
+    assert report["violations"] == [
+        "all hosts up to 2 edges were eliminated, contradicting the tree "
+        "upper bound 2"]
+    # an open result with an arrowing host: the search never leaves one
+    # below an unsettled level on these targets, so the result is planted
+    settled = size_ramsey_exact(star(2), 2, emax=3)
+    monkeypatch.setattr(oracle, "size_ramsey_exact", lambda *args: replace(
+        settled, status="open", value=None, lower=2))
+    _planted(monkeypatch, lower=4, upper=3)
+    report = cross_check_bounds(star(2), 2, emax=3)
+    assert report["violations"] == [
+        "an arrowing host with 3 edges beats the planted lower bound 4"]
 
 
 def test_cross_check_nontree_has_no_upper():

@@ -97,7 +97,7 @@ def test_edge_list_parser_raises_only_package_errors(data):
 def _certificate_doc() -> dict:
     host = path_graph(4)
     coloring = EdgeColoring(host, 2, {(0, 1): 1, (1, 2): 2, (2, 3): 1})
-    cert = Certificate(host=host, target=make_double_star(1, 1), r=2,
+    cert = Certificate(target=make_double_star(1, 1), r=2,
                        coloring=coloring,
                        plan=ColoringPlan(strategy="affine", parts={"X": (0, 3)},
                                          parameters={"n": 3}),

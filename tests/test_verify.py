@@ -160,7 +160,6 @@ def make_cert(**overrides):
     host = path_graph(4)
     coloring = EdgeColoring(host, 2, {(0, 1): 1, (1, 2): 2, (2, 3): 1})
     base = dict(
-        host=host,
         target=make_double_star(1, 1),
         r=2,
         coloring=coloring,
@@ -198,6 +197,38 @@ def test_verify_certificate_structural_errors():
         verify_certificate(make_cert(claimed_bound=Fraction(2)))  # 3 edges >= 2
     with pytest.raises(CertificateValidationError):
         verify_certificate(make_cert(target=Graph(4, [(0, 1), (2, 3)])))
+
+
+def _stray_color(cert):
+    cert.coloring.colors[(0, 1)] = 3  # past set()'s palette check
+    return cert
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: make_cert(r=0), "r must be >= 1, got 0"),
+    (lambda: make_cert(claimed_bound=Fraction(0)),
+     "claimed_bound must be positive, got 0"),
+    (lambda: _stray_color(make_cert()), "edge (0, 1) has color 3 outside 1..2"),
+    (lambda: make_cert(coloring=EdgeColoring(
+        path_graph(4), 3, {(0, 1): 1, (1, 2): 2, (2, 3): 1})),
+     "coloring palette 3 exceeds certificate r 2"),
+    (lambda: make_cert(target=Graph(0, [])), "target graph is empty"),
+], ids=["r", "claimed-bound", "stray-color", "palette", "empty-target"])
+def test_structural_violations_are_named(build, message):
+    with pytest.raises(CertificateValidationError) as err:
+        verify_certificate(build())
+    assert message in err.value.violations
+
+
+def test_refuted_certificate_json_roundtrip_keeps_the_witness():
+    out = verify_certificate(make_cert(target=path_graph(2)))
+    assert out.verdict == "refuted" and out.witness["kind"] == "mono_copy"
+    text = certificate_to_json(out)
+    assert json.loads(text)["witness"] == json.loads(json.dumps(out.witness))
+    restored = certificate_from_json(text)
+    assert restored.verdict == "refuted"
+    again = verify_certificate(restored)
+    assert again.verdict == "refuted" and again.witness == out.witness
 
 
 def test_verify_certificate_checks_the_claimed_bound():
