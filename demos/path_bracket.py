@@ -2,9 +2,9 @@
 Bracketing the path P4 from both sides
 ======================================
 
-Lower bound from an explicit coloring family, upper bound from the
-complete bipartite embedding host, exact value from exhaustive search in
-between.  P4 is small enough that the bracket pins down the truth.
+Lower bound from the best applicable bound (here the pigeonhole count
+r(m-1)+1), upper bound from the complete bipartite embedding host, exact
+value from exhaustive search in between.  P4 is small enough that the bracket pins down the truth.
 """
 
 from fractions import Fraction

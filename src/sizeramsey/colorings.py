@@ -992,10 +992,10 @@ def lower_bound_value(h: Graph, r: int) -> tuple[Fraction, str]:
     """The best applicable size-Ramsey lower bound for h with r colors,
     as (exact fraction, tag).
 
-    Stars get their exact formula.  Otherwise the maximum over every
-    bound whose hypotheses h and r satisfy is returned, including the
-    trivial edge count, with ties resolved toward the earlier tag in the
-    candidate order.
+    Stars get the pigeonhole bound r(m - 1) + 1, their exact value.
+    Otherwise the maximum over every bound whose hypotheses h and r
+    satisfy is returned, the pigeonhole bound first, with ties resolved
+    toward the earlier tag in the candidate order.
     """
     if r < 1:
         raise DomainError(f"need r >= 1, got {r}")
@@ -1003,9 +1003,10 @@ def lower_bound_value(h: Graph, r: int) -> tuple[Fraction, str]:
         raise DomainError("lower bounds require a connected target with edges")
     m = h.edge_count
     bip = is_bipartite(h)
+    pigeonhole = (Fraction(_pigeonhole_bound(m, r)), "pigeonhole")
     if bip and is_star(h):
-        return Fraction(_pigeonhole_bound(m, r)), "star_exact"
-    cands: list[tuple[Fraction, str]] = [(Fraction(m), "trivial_edges")]
+        return pigeonhole
+    cands: list[tuple[Fraction, str]] = [pigeonhole]
     if r >= 6:
         cands.append((Fraction(r * r * m, 64), "nonstar_edges"))
     if bip:

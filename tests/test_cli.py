@@ -324,7 +324,7 @@ def test_exact_cross_check(capsys):
                "--cross-check"])
     text = capsys.readouterr().out
     assert rc == 0
-    assert "lower bound: 3 via star_exact" in text
+    assert "lower bound: 3 via pigeonhole" in text
     assert "VIOLATION" not in text
     # the bound lines, then exactly what plain exact prints
     assert main(["exact", "--target", "star:2", "-r", "2", "--emax", "3"]) == 0

@@ -465,21 +465,27 @@ def test_scaled_wrappers():
 
 
 def test_lower_bound_star_formula():
-    assert lower_bound_value(star(2), 2) == (Fraction(3), "star_exact")
-    assert lower_bound_value(star(3), 2) == (Fraction(5), "star_exact")
-    assert lower_bound_value(star(2), 3) == (Fraction(4), "star_exact")
-    assert lower_bound_value(path_graph(3), 2) == (Fraction(3), "star_exact")
+    assert lower_bound_value(star(2), 2) == (Fraction(3), "pigeonhole")
+    assert lower_bound_value(star(3), 2) == (Fraction(5), "pigeonhole")
+    assert lower_bound_value(star(2), 3) == (Fraction(4), "pigeonhole")
+    assert lower_bound_value(path_graph(3), 2) == (Fraction(3), "pigeonhole")
+    # a star's pigeonhole value is exact, so no non-star bound joins it
+    assert lower_bound_value(star(2), 64) == (Fraction(65), "pigeonhole")
 
 
 def test_lower_bound_worked_examples():
-    assert lower_bound_value(path_graph(4), 2) == (Fraction(4), "double_star_2col")
-    v, tag = lower_bound_value(path_graph(4), 16)
-    assert tag == "double_star" and v == Fraction(255 * 2, 16)
-    assert lower_bound_value(make_double_star(3, 3), 2)[0] == Fraction(16)
-    # non-bipartite small r falls back to the edge count
-    assert lower_bound_value(cycle_graph(5), 3) == (Fraction(5), "trivial_edges")
-    v2, tag2 = lower_bound_value(cycle_graph(5), 12)
-    assert tag2 == "nonstar_edges" and v2 == Fraction(144 * 5, 64)
+    # the pigeonhole count r(m-1)+1 beats double_star_2col's 4 at r=2
+    assert lower_bound_value(path_graph(4), 2) == (Fraction(5), "pigeonhole")
+    assert lower_bound_value(path_graph(4), 3) == (Fraction(7), "pigeonhole")
+    assert lower_bound_value(cycle_graph(5), 3) == (Fraction(13), "pigeonhole")
+    # each other tag still wins somewhere: 16 against 13, 255/2 against 65,
+    # and 320 against 257
+    assert lower_bound_value(make_double_star(3, 3), 2) == (
+        Fraction(16), "double_star_2col")
+    assert lower_bound_value(make_double_star(2, 2), 16) == (
+        Fraction(255, 2), "double_star")
+    assert lower_bound_value(cycle_graph(5), 64) == (
+        Fraction(64 * 64 * 5, 64), "nonstar_edges")
     with pytest.raises(DomainError):
         lower_bound_value(Graph(3, [(0, 1)]), 2)
     with pytest.raises(DomainError):

@@ -482,7 +482,7 @@ def test_cross_check_star_consistent():
     assert report["exact"]["status"] == "exact"
     assert report["exact"]["value"] == 3
     lb = report["lower_bound"]
-    assert lb["num"] == 3 and lb["den"] == 1 and lb["tag"] == "star_exact"
+    assert lb["num"] == 3 and lb["den"] == 1 and lb["tag"] == "pigeonhole"
     assert report["upper_bound"] is not None
     assert report["upper_bound"] >= 3
     assert report["r"] == 2
