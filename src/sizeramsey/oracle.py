@@ -220,7 +220,8 @@ def canonical_form(g: Graph) -> tuple[int, int]:
 def _grow_levels(emax: int, vmax: int | None):
     """Yield (e, [graphs]) for e = 1..emax, one representative per
     isomorphism class of connected graphs with e edges and no isolated
-    vertices (at most vmax vertices when given).
+    vertices (at most vmax vertices when given).  Callers ensure
+    emax >= 1.
 
     Every connected graph with e+1 edges yields a connected predecessor
     with e edges: remove a cycle edge if one exists, otherwise remove a

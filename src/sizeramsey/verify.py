@@ -472,7 +472,8 @@ class Certificate:
 
     claimed_bound is the edge threshold of the construction that produced
     the coloring: the host must have strictly fewer edges, and the
-    coloring must contain no monochromatic copy of the target.
+    coloring must contain no monochromatic copy of the target.  The host
+    is the coloring's; the certificate does not store it again.
     """
 
     target: Graph

@@ -103,8 +103,9 @@ def test_star_and_double_star_recognition():
 
 
 def test_double_star_recognition_matches_isomorphism():
-    # every tree on at most 10 vertices against networkx's isomorphism
-    # test, which shares none of is_double_star's reasoning
+    # every tree on at most 10 vertices, in networkx's labeling and
+    # reversed, against networkx's isomorphism test, which shares none of
+    # is_double_star's reasoning
     for order in range(1, 11):
         shapes = [(n, order - 2 - n) for n in range(1, order - 2)
                   if n >= order - 2 - n]
@@ -112,8 +113,10 @@ def test_double_star_recognition_matches_isomorphism():
             matches = [nm for nm in shapes if nx.is_isomorphic(
                 tree, helpers.to_networkx(make_double_star(*nm)))]
             assert len(matches) <= 1
-            got = is_double_star(helpers.from_networkx(tree))
-            assert got == (matches[0] if matches else None), sorted(tree.edges)
+            want = matches[0] if matches else None
+            for labeled in (tree, nx.relabel_nodes(tree, lambda v: order - 1 - v)):
+                got = is_double_star(helpers.from_networkx(labeled))
+                assert got == want, sorted(labeled.edges)
 
 
 def test_profile_canonical_orientation():
