@@ -79,6 +79,7 @@ __all__ = [
     "scaled_bipartite_coloring",
     "lower_bound_value",
     "strategy_bound",
+    "certificate_bound",
     "certify",
     "STRATEGIES",
 ]
@@ -246,6 +247,16 @@ def _pigeonhole_bound(m: int, r: int) -> int:
     return r * (m - 1) + 1
 
 
+def _nonstar_edges_bound(m: int, r: int) -> Fraction:
+    """r^2 e(H) / 64 for a non-star H with m edges and r >= 6."""
+    return Fraction(r * r * m, 64)
+
+
+def _nonstar_beta_bound(b: int, r: int) -> Fraction:
+    """r^2 beta(H) / 2048 for a bipartite non-star H and r >= 16."""
+    return Fraction(r * r * b, 2048)
+
+
 def _beck_bound(b: int) -> Fraction:
     """Beck's 2-color threshold beta(H)/4, with beta = n1 delta1 + n2 delta2."""
     return Fraction(b, 4)
@@ -291,6 +302,12 @@ def _double_star_bound(n: int, m: int, r: int) -> Fraction:
 def _double_star_2col_bound(n: int, m: int) -> Fraction:
     """beta(S_{n,m})/4 + (m+1)^2/2 with two colors; beta/4 = (n+1)(m+1)/2."""
     return Fraction((n + 1) * (m + 1), 2) + Fraction((m + 1) ** 2, 2)
+
+
+def _affine_bound(n: int, r: int) -> Fraction:
+    """C(capacity, 2) + 1 for a target on n vertices: the capacity clique
+    of the affine blow-up (_affine_cells) is the largest host it colors."""
+    return Fraction(comb(_affine_cells(r, n)[2], 2) + 1)
 
 
 def _require_below(g: Graph, bound: Fraction) -> None:
@@ -1008,13 +1025,13 @@ def lower_bound_value(h: Graph, r: int) -> tuple[Fraction, str]:
         return pigeonhole
     cands: list[tuple[Fraction, str]] = [pigeonhole]
     if r >= 6:
-        cands.append((Fraction(r * r * m, 64), "nonstar_edges"))
+        cands.append((_nonstar_edges_bound(m, r), "nonstar_edges"))
     if bip:
         b = beta(h)
         if r == 2:
             cands.append((_beck_bound(b), "beck"))
         if r >= 16:
-            cands.append((Fraction(r * r * b, 2048), "nonstar_beta"))
+            cands.append((_nonstar_beta_bound(b, r), "nonstar_beta"))
         ds = is_double_star(h)
         if ds is not None:
             n, mm = ds
@@ -1052,7 +1069,7 @@ _STRATEGY_TABLE = {
                          lambda g, h, r, *_: double_star_2coloring(g, h)),
     "chi3": (3, lambda h, r: _chi3_bound(h.edge_count, r),
              lambda g, h, r, seed, _: chi3_coloring(g, h, r, seed)),
-    "affine": (1, lambda h, r: Fraction(comb(_affine_cells(r, h.vertex_count)[2], 2) + 1),
+    "affine": (1, lambda h, r: _affine_bound(h.vertex_count, r),
                _affine_on_complete_host),
 }
 

@@ -29,6 +29,7 @@ __all__ = [
     "degree_peel",
     "greedy_tree_embed",
     "upper_bound_value",
+    "embed_host_sides",
     "embed_host",
     "ramsey_embed_test",
 ]

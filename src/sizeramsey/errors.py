@@ -2,6 +2,17 @@
 
 from __future__ import annotations
 
+__all__ = [
+    "SizeRamseyError",
+    "DomainError",
+    "Graph6Error",
+    "EdgeListError",
+    "CapacityError",
+    "ConstructionError",
+    "LasVegasError",
+    "CertificateValidationError",
+]
+
 
 class SizeRamseyError(Exception):
     """Base class for all package errors."""

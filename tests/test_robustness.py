@@ -5,9 +5,11 @@ package errors on any input, fuzzed here with Hypothesis in derandomized
 mode so every run draws the same cases.  No check in the package lives in
 an assert statement, which python -O strips, and no function but one
 whose depth is bounded by its input's nesting calls itself.  No module
-imports warnings: what a construction has to say goes into its plan.  The
-coloring search's embedding kernel and the set kernel that re-checks its
-witnesses reach no code of each other.
+imports warnings: what a construction has to say goes into its plan.  Each
+library module's __all__ lists what it defines, and the package root
+exports those lists and nothing more.  The coloring search's embedding
+kernel and the set kernel that re-checks its witnesses reach no code of
+each other.
 """
 
 import ast
@@ -250,6 +252,35 @@ def test_no_public_name_is_exported_by_two_modules():
             for public in getattr(module, "__all__", ()):
                 owners.setdefault(public, []).append(name)
     assert {k: v for k, v in owners.items() if len(v) > 1} == {}
+
+
+def test_the_root_exports_exactly_what_each_module_defines():
+    # each library module's __all__ lists exactly the public functions,
+    # classes and constants it defines at top level, and the package root
+    # exports those lists in module order, each name bound to its
+    # module's own object
+    root = os.path.dirname(sizeramsey.__file__)
+    exported = []
+    for name in sorted(os.listdir(root)):
+        if not name.endswith(".py") or name in ("__init__.py", "__main__.py", "cli.py"):
+            continue
+        path = os.path.join(root, name)
+        with open(path, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read(), filename=path)
+        defined = set()
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.add(node.name)
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined |= {t.id for t in targets if isinstance(t, ast.Name)}
+        module = importlib.import_module(f"sizeramsey.{name[:-3]}")
+        listed = getattr(module, "__all__", [])
+        assert sorted(listed) == sorted(d for d in defined if not d.startswith("_")), name
+        exported += [(public, getattr(module, public)) for public in listed]
+    assert getattr(sizeramsey, "__all__", None) == [public for public, _ in exported]
+    assert [public for public, obj in exported
+            if getattr(sizeramsey, public) is not obj] == []
 
 
 def _named_in(module: str) -> dict[str, set[str]]:
