@@ -56,7 +56,7 @@ from .graphs import (
     profile,
     star,
 )
-from .oracle import cross_check_bounds, size_ramsey_exact
+from .oracle import _NODE_BUDGET, cross_check_bounds, size_ramsey_exact
 from .verify import (
     EdgeColoring,
     certificate_from_json,
@@ -480,7 +480,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--target", required=True)
     p.add_argument("-r", type=int, default=2)
     p.add_argument("--emax", type=int, default=8)
-    p.add_argument("--budget", type=int, default=2_000_000,
+    p.add_argument("--budget", type=int, default=_NODE_BUDGET,
                    help="search nodes per host")
     p.add_argument("--cross-check", action="store_true",
                    help="compare the exact value against the package bounds")

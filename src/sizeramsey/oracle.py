@@ -49,6 +49,9 @@ __all__ = [
     "cross_check_bounds",
 ]
 
+# search nodes per host that the exact search spends by default
+_NODE_BUDGET = 2_000_000
+
 
 # ---------------------------------------------------------------------------
 # canonical forms (complete isomorphism invariant)
@@ -348,7 +351,7 @@ class ExactResult:
 
 
 def size_ramsey_exact(h: Graph, r: int, emax: int,
-                      node_budget: int | None = 2_000_000) -> ExactResult:
+                      node_budget: int | None = _NODE_BUDGET) -> ExactResult:
     """Smallest edge count of a host arrowing h with r colors, by complete
     enumeration of connected hosts (vertex counts never exceed e+1).
 
@@ -417,7 +420,7 @@ def size_ramsey_exact(h: Graph, r: int, emax: int,
 
 
 def cross_check_bounds(h: Graph, r: int, emax: int,
-                       node_budget: int | None = 2_000_000) -> dict:
+                       node_budget: int | None = _NODE_BUDGET) -> dict:
     """Compare the package's bounds for h against the brute-force value.
 
     Returns a report dict with a "violations" list; an inconsistency is

@@ -231,6 +231,14 @@ def test_default_host_below_three_edges_is_connected(capsys, target, vertices,
     assert is_connected(parse_graph6(json.loads(captured.out)["host_graph6"]))
 
 
+def test_default_host_with_no_edges_is_exit_2(capsys):
+    # beck's bound for a single edge is 1/2, below every host with an edge
+    assert main(["certify", "--strategy", "beck", "--target", "star:1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "the bound 1/2 admits no host with edges" in captured.err
+
+
 def test_certify_has_no_retry_option(capsys):
     assert main(["certify", "--strategy", "chi3", "--target", "cycle:5",
                  "-r", "2", "--max-retries", "5"]) == 2
@@ -367,10 +375,20 @@ def test_simulate_rejects_constants_without_a_host(capsys, constants):
     assert captured.err.startswith("error:")
 
 
-def test_simulate_bad_seed_range(capsys):
+@pytest.mark.parametrize("seeds, message", [
+    ("5:5", "empty seed range '5:5'"),
+    ("a:b", "seed range must be START:STOP, got 'a:b'"),
+    ("abc", "seeds must be an integer or START:STOP, got 'abc'"),
+], ids=["5:5", "a:b", "abc"])
+def test_simulate_bad_seed_range(capsys, seeds, message):
     assert main(["simulate", "--tree", "path:4", "-A", "1", "-B", "40",
-                 "--seeds", "5:5"]) == 2
-    capsys.readouterr()
+                 "--seeds", seeds]) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_simulate_rejects_nontrees(capsys):
+    assert main(["simulate", "--tree", "cycle:4", "-A", "1", "-B", "40"]) == 2
+    assert "simulate needs a tree target" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

@@ -493,11 +493,15 @@ def test_lower_bound_worked_examples():
 
 
 def test_lower_bound_beats_trivial_eventually():
-    # the quadratic-in-r bounds dominate the edge count for large r
+    # the quadratic-in-r bound r^2 m / 64 overtakes pigeonhole's r(m - 1) + 1
+    # for large r: K_{3,3} reads 576 against 513 at r = 64, and doubling r
+    # multiplies the bound by 4
     h = complete_bipartite(3, 3)
-    small = lower_bound_value(h, 2)[0]
-    large = lower_bound_value(h, 40)[0]
-    assert large > small >= h.edge_count / 2
+    small, small_tag = lower_bound_value(h, 64)
+    large, large_tag = lower_bound_value(h, 128)
+    assert small_tag == large_tag == "nonstar_edges"
+    assert (small, large) == (576, 2304)
+    assert large == 4 * small
 
 
 def test_strategy_bound_errors():
