@@ -220,6 +220,92 @@ def canonical_form(g: Graph) -> tuple[int, int]:
 # connected host enumeration by edge count
 
 
+def _bridges(adj) -> set[tuple[int, int]]:
+    """The bridges (u, v), u < v, of the connected graph with neighbor
+    sets adj, by one depth-first lowlink pass (Tarjan, 1974).  The walk
+    keeps its own stack of (vertex, parent, neighbor iterator), so its
+    depth is not bounded by the interpreter's recursion limit."""
+    disc = [-1] * len(adj)
+    low = disc[:]
+    disc[0] = low[0] = 0
+    clock = 1
+    out: set[tuple[int, int]] = set()
+    stack = [(0, -1, iter(adj[0]))]
+    while stack:
+        v, parent, rest = stack[-1]
+        for w in rest:
+            if disc[w] < 0:
+                disc[w] = low[w] = clock
+                clock += 1
+                stack.append((w, v, iter(adj[w])))
+                break
+            if w != parent and disc[w] < low[v]:
+                low[v] = disc[w]
+        else:
+            stack.pop()
+            if parent >= 0:
+                low[parent] = min(low[parent], low[v])
+                if low[v] > disc[parent]:
+                    out.add((min(parent, v), max(parent, v)))
+    return out
+
+
+def _deletion_filter(g: Graph):
+    """keep(u, v): whether the child of g made by adding the edge uv, a
+    pendant edge at u when v is g's vertex count, may be the first of its
+    class, because no removable edge of the child outranks uv.
+
+    A removable edge is a pendant edge, whose leaf goes with it, or a
+    cycle edge: removing it leaves a connected graph with one edge fewer,
+    and the new edge of every child is one.  Edges are ranked by a key
+    computed from the child alone, so an isomorphism maps each edge to one
+    of the same key.  Pendant edges outrank cycle edges; a pendant edge
+    is keyed by (degree of its attachment vertex, sum of that vertex's
+    neighbors' degrees), and a cycle edge by (degree sum, smaller degree,
+    number of common neighbors).
+
+    Degrees, neighbor-degree sums and leaves are those of g, updated for
+    the new edge, so a pendant child is judged without building it.  A
+    cycle child with a leaf is rejected outright; one without is built as
+    neighbor sets, and the bridge pass runs only when an edge that is in
+    no triangle outranks uv, since an edge with a common neighbor lies on
+    a cycle."""
+    n = g.vertex_count
+    adj = g.adj
+    deg = [len(a) for a in adj]
+    sums = [sum(deg[w] for w in a) for a in adj]
+    leaves = [(leaf, next(iter(adj[leaf]))) for leaf in range(n) if deg[leaf] == 1]
+
+    def keep(u: int, v: int) -> bool:
+        if v == n:
+            # a leaf other than u keeps its attachment a; a gains a unit of
+            # neighbor degree when u is its neighbor (a == u ties uv)
+            top = (deg[u] + 1, sums[u] + 1)
+            return not any((deg[a], sums[a] + (u in adj[a])) > top
+                           for leaf, a in leaves if leaf != u and a != u)
+        if any(leaf != u and leaf != v for leaf, _ in leaves):
+            return False
+        child = [set(a) for a in adj]
+        child[u].add(v)
+        child[v].add(u)
+
+        def key(x: int, y: int) -> tuple[int, int, int]:
+            dx, dy = len(child[x]), len(child[y])
+            return dx + dy, min(dx, dy), len(child[x] & child[y])
+
+        top = key(u, v)
+        above = []
+        for x, y in g.edges:
+            k = key(x, y)
+            if k > top:
+                if k[2]:
+                    return False
+                above.append((min(x, y), max(x, y)))
+        return not above or _bridges(child).issuperset(above)
+
+    return keep
+
+
 def _grow_levels(emax: int, vmax: int | None):
     """Yield (e, [graphs]) for e = 1..emax, one representative per
     isomorphism class of connected graphs with e edges and no isolated
@@ -231,17 +317,32 @@ def _grow_levels(emax: int, vmax: int | None):
     leaf; so edge-additions between existing vertices plus pendant
     attachments reach everything.
 
-    Each parent makes one child per orbit of its twin swaps (McKay,
-    "Isomorph-free exhaustive generation", J. Algorithms 1998, cut down to
-    twins).  A new edge joins the least members of two twin classes, or
-    the two least members of one false-twin class; a pendant hangs only at
-    the least member of a class.  Swapping twins is an automorphism of
-    the parent, so a skipped child is isomorphic to the kept child that
-    its swaps map it to, the lexicographically least pair of its orbit,
-    which the same parent makes earlier.  A skipped child is therefore
-    never the first of its class to be seen: the representatives, their
-    order and every level are those of the generator that tries every
-    child.
+    Two cuts, both from McKay's canonical augmentation ("Isomorph-free
+    exhaustive generation", J. Algorithms 1998), skip children before
+    their canonical forms are computed.
+
+    - Each parent makes one child per orbit of its twin swaps.  A new
+      edge joins the least members of two twin classes, or the two least
+      members of one false-twin class; a pendant hangs only at the least
+      member of a class.  Swapping twins is an automorphism of the
+      parent, so a skipped child is isomorphic to the kept child that its
+      swaps map it to.
+    - A child is dropped when one of its removable edges has a strictly
+      greater key than its new edge (_deletion_filter).
+
+    No class is lost.  Take a class C and a removable edge e' of C with
+    the greatest key.  C - e' (with its leaf, if e' is pendant) is
+    connected, has no more vertices than C, and its class has one
+    representative P in the level before.  Adding the image of e' to P,
+    or its twin-swap image, which the first cut keeps, gives a child
+    isomorphic to C whose new edge corresponds to e'.  The key is
+    invariant, so that edge is greatest too and the child passes.  The
+    global dict of canonical forms still merges the children of a class
+    that several parents, or several edges of equal key, make.
+
+    A class is represented by the first of its children that passes both
+    cuts, so representatives depend on this generator; the levels hold
+    the same classes as trying every child would.
     """
     k2 = Graph(2, [(0, 1)])
     level = {canonical_form(k2): k2}
@@ -251,6 +352,7 @@ def _grow_levels(emax: int, vmax: int | None):
         for g in level.values():
             n = g.vertex_count
             label = _twin_labels(g.adj)
+            keep = _deletion_filter(g)
             least = [v for v in range(n) if label[v] == v]
             # second[u]: the next member of the class of its least member u
             second: dict[int, int] = {}
@@ -260,13 +362,14 @@ def _grow_levels(emax: int, vmax: int | None):
             for u in least:
                 for v in range(u + 1, n):
                     if ((label[v] == v or v == second.get(u))
-                            and not g.has_edge(u, v)):
+                            and not g.has_edge(u, v) and keep(u, v)):
                         g2 = Graph(n, list(g.edges) + [(u, v)])
                         nxt.setdefault(canonical_form(g2), g2)
             if vmax is None or n + 1 <= vmax:
                 for u in least:
-                    g2 = Graph(n + 1, list(g.edges) + [(u, n)])
-                    nxt.setdefault(canonical_form(g2), g2)
+                    if keep(u, n):
+                        g2 = Graph(n + 1, list(g.edges) + [(u, n)])
+                        nxt.setdefault(canonical_form(g2), g2)
         level = nxt
         yield e, sorted(level.values(), key=lambda g: (g.vertex_count, g.sorted_edges()))
 

@@ -3,6 +3,7 @@ arrowing, exact size-Ramsey values, and the bound cross-checker."""
 
 import hashlib
 import random
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 
@@ -174,16 +175,18 @@ def test_canonical_form_degenerate():
 
 
 @pytest.mark.parametrize("emax, count, digest", [
-    (8, 358, "052b448ac9da14954b6edbe15f956156b4aaa78f72b8e383370748b133f4f41b"),
+    (8, 358, "64815e4d1035425e4f0ba6520e7db8914f117f419ee1c251f62793f7241eed11"),
     # through 8 edges every leaf of every search tree has the same code, so
     # only 9 edges tell the least leaf code from, say, the greatest
-    (9, 1068, "19c80f86361cd17a2a3964e67ac10b845749ab990e3b337b0ea5f25036577b7f"),
+    (9, 1068, "ece3ef372440bc3b61245e58c95ba4d07d715685883cdae2a2dbb701a904b885"),
 ], ids=["8-edges", "9-edges"])
 def test_canonical_forms_are_pinned(emax, count, digest):
-    # SHA-256 of (edge count, graph6, form) of every enumerated graph
-    # through emax edges, taken while the search still recursed
-    rows = [(e, emit_graph6(g), canonical_form(g))
-            for e, graphs in oracle._grow_levels(emax, None) for g in graphs]
+    # SHA-256 of the sorted (edge count, form) rows of every class through
+    # emax edges, which do not depend on the representative a class keeps;
+    # the enumeration that kept first-seen representatives gives the same
+    # digests
+    rows = sorted((e, canonical_form(g))
+                  for e, graphs in oracle._grow_levels(emax, None) for g in graphs)
     assert len(rows) == count
     assert hashlib.sha256(repr(rows).encode()).hexdigest() == digest
 
@@ -238,10 +241,29 @@ def test_leaf_code_matches_reading_every_pair():
 # connected-host enumeration
 
 
-def test_enumeration_counts():
+def test_enumeration_counts(monkeypatch):
     # connected unlabeled graphs by edge count, no isolated vertices
     # (OEIS A002905), every level from one pass
     expected = [1, 1, 3, 5, 12, 30, 79, 227, 710, 2322, 8071]
+    # per edge count: the children that pass the twin cut, each of which
+    # the deletion filter judges, and the canonical forms computed
+    children, forms = Counter(), Counter()
+    original_filter, original_form = oracle._deletion_filter, oracle.canonical_form
+
+    def counting_filter(g):
+        keep = original_filter(g)
+
+        def counted(u, v):
+            children[g.edge_count + 1] += 1
+            return keep(u, v)
+        return counted
+
+    def counting_form(g):
+        forms[g.edge_count] += 1
+        return original_form(g)
+
+    monkeypatch.setattr(oracle, "_deletion_filter", counting_filter)
+    monkeypatch.setattr(oracle, "canonical_form", counting_form)
     levels = list(oracle._grow_levels(len(expected), None))
     assert [e for e, _ in levels] == list(range(1, len(expected) + 1))
     assert [len(got) for _, got in levels] == expected
@@ -250,6 +272,8 @@ def test_enumeration_counts():
             assert g.edge_count == e
             assert all(g.degree(v) >= 1 for v in range(g.vertex_count))
             assert nx.is_connected(helpers.to_networkx(g))
+    assert children[11] == 65_962
+    assert forms[11] <= children[11] // 4
 
 
 def test_enumeration_pairwise_nonisomorphic():
@@ -268,15 +292,47 @@ def test_enumeration_vertex_cap():
 
 @pytest.mark.parametrize("emax, vmax", [(8, None), (8, 4), (8, 5)])
 def test_enumeration_matches_unpruned_reference(emax, vmax):
-    # one child per twin orbit keeps every level's first-seen
-    # representatives and their order
-    got = [[(g.vertex_count, g.sorted_edges()) for g in graphs]
+    # the same classes, level by level, as trying every child; which
+    # child represents a class is the generator's own choice
+    got = [[canonical_form(g) for g in graphs]
            for _, graphs in oracle._grow_levels(emax, vmax)]
-    assert got == helpers.connected_levels(emax, vmax)
+    want = [[canonical_form(Graph(n, edges)) for n, edges in level]
+            for level in helpers.connected_levels(emax, vmax)]
+    assert [len(level) for level in got] == [len(level) for level in want]
+    assert [set(level) for level in got] == [set(level) for level in want]
+
+
+def test_enumeration_matches_the_graph_atlas():
+    # every connected graph on at most 7 vertices, class for class, with
+    # networkx's atlas as the reference and its isomorphism test as the
+    # judge: no canonical form on the reference side
+    atlas: dict[tuple, list] = {}
+    for a in nx.graph_atlas_g():
+        if a.number_of_edges() and nx.is_connected(a):
+            bucket = (a.number_of_nodes(), a.number_of_edges(),
+                      tuple(sorted(d for _, d in a.degree())))
+            atlas.setdefault(bucket, []).append(a)
+    ours: dict[tuple, list] = {}
+    for e, graphs in oracle._grow_levels(21, 7):
+        for g in graphs:
+            bucket = (g.vertex_count, e, tuple(sorted(g.degrees())))
+            ours.setdefault(bucket, []).append(helpers.to_networkx(g))
+    assert ours.keys() == atlas.keys()
+    for bucket, graphs in ours.items():
+        assert len(graphs) == len(atlas[bucket]), bucket
+        # atlas graphs are pairwise non-isomorphic, so one match each and
+        # no atlas graph matched twice makes the bucket a bijection
+        matched = set()
+        for g in graphs:
+            hits = [i for i, a in enumerate(atlas[bucket]) if nx.is_isomorphic(g, a)]
+            assert len(hits) == 1, bucket
+            matched.add(hits[0])
+        assert len(matched) == len(graphs), bucket
 
 
 def test_enumeration_prunes_twin_orbits(monkeypatch):
-    # through 7 edges: K2 and 500 children; trying every child takes 706
+    # through 7 edges: K2 and the 179 children that pass both cuts; the
+    # twin cut alone leaves 500, and trying every child takes 706
     calls = []
     original = oracle.canonical_form
 
@@ -286,7 +342,52 @@ def test_enumeration_prunes_twin_orbits(monkeypatch):
 
     monkeypatch.setattr(oracle, "canonical_form", counting)
     assert sum(len(graphs) for _, graphs in oracle._grow_levels(7, None)) == 131
-    assert len(calls) == 501
+    assert len(calls) == 180
+
+
+def _two_squares_and_a_bridge() -> list[tuple[int, int]]:
+    # squares 0-1-2-3 and 4-5-6-7 joined by the bridge 3-4: the bridge
+    # has the greatest key (6, 3, 0), then the square edges at 3 and 4
+    # (5, 2, 0), then the rest (4, 2, 0)
+    return [(0, 1), (1, 2), (2, 3), (0, 3), (3, 4), (4, 5), (5, 6), (6, 7), (4, 7)]
+
+
+def test_deletion_filter_rejects_a_cycle_child_with_a_leaf():
+    # P4 plus the chord 0-2: a triangle with a pendant edge, whose
+    # pendant edge outranks every cycle edge
+    assert not oracle._deletion_filter(path_graph(4))(0, 2)
+    # the same class made by hanging the pendant edge passes
+    assert oracle._deletion_filter(cycle_graph(3))(0, 3)
+
+
+def test_deletion_filter_looks_past_bridges():
+    # a leafless child whose only higher-key edge is a bridge is kept
+    edges = _two_squares_and_a_bridge()
+    parent = Graph(8, [e for e in edges if e != (0, 3)])
+    assert oracle._deletion_filter(parent)(0, 3)
+    # with a higher-key cycle edge that has no common neighbor, which only
+    # the bridge pass tells from a bridge, it is rejected
+    parent = Graph(8, [e for e in edges if e != (0, 1)])
+    assert not oracle._deletion_filter(parent)(0, 1)
+
+
+def test_bridges_match_networkx(rng):
+    found = 0
+    for _ in range(200):
+        n = rng.randint(2, 12)
+        g = helpers.random_graph(rng, n, rng.randint(n - 1, 2 * n))
+        ng = helpers.to_networkx(g)
+        if not nx.is_connected(ng):
+            continue
+        want = {(min(u, v), max(u, v)) for u, v in nx.bridges(ng)}
+        assert oracle._bridges(g.adj) == want
+        found += bool(want)
+    assert found >= 50
+
+
+def test_bridges_depth_is_not_bounded_by_recursion():
+    p = path_graph(5000)
+    assert oracle._bridges(p.adj) == set(p.edges)
 
 
 def test_enumeration_bad_edge_count():
