@@ -64,7 +64,7 @@ from .verify import (
     verify_certificate,
 )
 
-__all__ = ["main", "parse_graph_spec"]
+__all__ = ["MAX_BUILT_HOST_EDGES", "build_parser", "main", "parse_graph_spec"]
 
 
 def _ints(text: str, count: int, what: str) -> list[int]:
