@@ -6,11 +6,14 @@ inside one component), each host is tested by exhaustive coloring search,
 and the resulting exact values are compared against the package's own
 lower and upper bounds.  Disagreements are reported, never patched over.
 
-Two cuts skip work without changing any result.  The enumeration makes
-one child per orbit of the parent's twin swaps: every skipped child is
-isomorphic to a kept child of the same parent made before it, so the
-first-seen representative of every class, and with it every level, is
-that of trying every child (see _grow_levels).  And the exact search
+Three cuts skip work without changing any result.  The enumeration makes
+one child per orbit of the parent's twin swaps, and drops a child before
+its canonical form when one of its removable edges (a pendant edge, or an
+edge on a cycle) has a greater invariant key than the edge just added.
+Every class still has a child that passes both: re-add its greatest-key
+edge to the representative of what removing that edge leaves.  So every
+level holds the classes that trying every child gives, each represented
+by the first child that passes (see _grow_levels).  And the exact search
 starts at r(e(H)-1)+1 edges (colorings._pigeonhole_bound): a host with at
 most r(e(H)-1) edges splits into r colors of fewer than e(H) edges each,
 so none of its colors holds a copy of H and it cannot arrow.
@@ -295,12 +298,12 @@ def _deletion_filter(g: Graph):
 
         top = key(u, v)
         above = []
-        for x, y in g.edges:
+        for x, y in g.edges:  # stored as (min, max), as _bridges reports
             k = key(x, y)
             if k > top:
                 if k[2]:
                     return False
-                above.append((min(x, y), max(x, y)))
+                above.append((x, y))
         return not above or _bridges(child).issuperset(above)
 
     return keep

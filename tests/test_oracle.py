@@ -345,13 +345,6 @@ def test_enumeration_prunes_twin_orbits(monkeypatch):
     assert len(calls) == 180
 
 
-def _two_squares_and_a_bridge() -> list[tuple[int, int]]:
-    # squares 0-1-2-3 and 4-5-6-7 joined by the bridge 3-4: the bridge
-    # has the greatest key (6, 3, 0), then the square edges at 3 and 4
-    # (5, 2, 0), then the rest (4, 2, 0)
-    return [(0, 1), (1, 2), (2, 3), (0, 3), (3, 4), (4, 5), (5, 6), (6, 7), (4, 7)]
-
-
 def test_deletion_filter_rejects_a_cycle_child_with_a_leaf():
     # P4 plus the chord 0-2: a triangle with a pendant edge, whose
     # pendant edge outranks every cycle edge
@@ -361,8 +354,11 @@ def test_deletion_filter_rejects_a_cycle_child_with_a_leaf():
 
 
 def test_deletion_filter_looks_past_bridges():
-    # a leafless child whose only higher-key edge is a bridge is kept
-    edges = _two_squares_and_a_bridge()
+    # squares 0-1-2-3 and 4-5-6-7 joined by the bridge 3-4: the bridge
+    # has the greatest key (6, 3, 0), then the square edges at 3 and 4
+    # (5, 2, 0), then the rest (4, 2, 0).  A leafless child whose only
+    # higher-key edge is the bridge is kept
+    edges = [(0, 1), (1, 2), (2, 3), (0, 3), (3, 4), (4, 5), (5, 6), (6, 7), (4, 7)]
     parent = Graph(8, [e for e in edges if e != (0, 3)])
     assert oracle._deletion_filter(parent)(0, 3)
     # with a higher-key cycle edge that has no common neighbor, which only
