@@ -490,14 +490,15 @@ def parse_edge_list(text: str) -> Graph:
             raise EdgeListError(f"negative vertex in {line!r}", lineno)
         if u == v:
             raise EdgeListError(f"self-loop at vertex {u}", lineno)
+        if declared_n is not None and max(u, v) >= declared_n:
+            raise EdgeListError(
+                f"vertex {max(u, v)} exceeds declared vertex count {declared_n}",
+                lineno,
+            )
         saw_edge_line = True
         edges.append((u, v))
         max_seen = max(max_seen, u, v)
     n = declared_n if declared_n is not None else max_seen + 1
-    if max_seen >= n:
-        raise EdgeListError(
-            f"vertex {max_seen} exceeds declared vertex count {n}", 1
-        )
     return Graph(max(n, 0), edges)
 
 

@@ -223,36 +223,6 @@ def canonical_form(g: Graph) -> tuple[int, int]:
 # connected host enumeration by edge count
 
 
-def _bridges(adj) -> set[tuple[int, int]]:
-    """The bridges (u, v), u < v, of the connected graph with neighbor
-    sets adj, by one depth-first lowlink pass (Tarjan, 1974).  The walk
-    keeps its own stack of (vertex, parent, neighbor iterator), so its
-    depth is not bounded by the interpreter's recursion limit."""
-    disc = [-1] * len(adj)
-    low = disc[:]
-    disc[0] = low[0] = 0
-    clock = 1
-    out: set[tuple[int, int]] = set()
-    stack = [(0, -1, iter(adj[0]))]
-    while stack:
-        v, parent, rest = stack[-1]
-        for w in rest:
-            if disc[w] < 0:
-                disc[w] = low[w] = clock
-                clock += 1
-                stack.append((w, v, iter(adj[w])))
-                break
-            if w != parent and disc[w] < low[v]:
-                low[v] = disc[w]
-        else:
-            stack.pop()
-            if parent >= 0:
-                low[parent] = min(low[parent], low[v])
-                if low[v] > disc[parent]:
-                    out.add((min(parent, v), max(parent, v)))
-    return out
-
-
 def _deletion_filter(g: Graph):
     """keep(u, v): whether the child of g made by adding the edge uv, a
     pendant edge at u when v is g's vertex count, may be the first of its
@@ -270,9 +240,9 @@ def _deletion_filter(g: Graph):
     Degrees, neighbor-degree sums and leaves are those of g, updated for
     the new edge, so a pendant child is judged without building it.  A
     cycle child with a leaf is rejected outright; one without is built as
-    neighbor sets, and the bridge pass runs only when an edge that is in
-    no triangle outranks uv, since an edge with a common neighbor lies on
-    a cycle."""
+    neighbor sets.  An outranking edge with a common neighbor lies on a
+    cycle; for any other, is_connected asks whether the child stays
+    connected without it, which holds exactly when it lies on a cycle."""
     n = g.vertex_count
     adj = g.adj
     deg = [len(a) for a in adj]
@@ -297,14 +267,12 @@ def _deletion_filter(g: Graph):
             return dx + dy, min(dx, dy), len(child[x] & child[y])
 
         top = key(u, v)
-        above = []
-        for x, y in g.edges:  # stored as (min, max), as _bridges reports
+        for x, y in g.edges:
             k = key(x, y)
-            if k > top:
-                if k[2]:
-                    return False
-                above.append((x, y))
-        return not above or _bridges(child).issuperset(above)
+            if k > top and (k[2] or is_connected(
+                    Graph(n, [*g.edges - {(x, y)}, (u, v)]))):
+                return False
+        return True
 
     return keep
 
@@ -331,7 +299,8 @@ def _grow_levels(emax: int, vmax: int | None):
       parent, so a skipped child is isomorphic to the kept child that its
       swaps map it to.
     - A child is dropped when one of its removable edges has a strictly
-      greater key than its new edge (_deletion_filter).
+      greater key than its new edge (_deletion_filter), which asks
+      is_connected whether an edge lies on a cycle.
 
     No class is lost.  Take a class C and a removable edge e' of C with
     the greatest key.  C - e' (with its leaf, if e' is pendant) is

@@ -1,6 +1,7 @@
-"""Shared test utilities: networkx bridges, a vectorized brute-force
-embedding oracle, random instance generators for the coloring
-constructions, and builders of twin-rich graphs.
+"""Shared test utilities: a vectorized brute-force embedding oracle,
+references for the host enumeration and its deletion filter, a
+brute-force P4-free coloring search, random instance generators for the
+coloring constructions, and builders of twin-rich graphs.
 
 The oracle here is deliberately independent of the package's own search:
 it materializes every injective vertex map as a numpy array and checks all
@@ -135,6 +136,81 @@ def connected_levels(emax: int, vmax: int | None = None
         level = nxt
         out.append(sorted((g.vertex_count, g.sorted_edges()) for g in level.values()))
     return out
+
+
+def deletion_filter_reference(parent: Graph, u: int, v: int) -> bool:
+    """Reference for oracle._deletion_filter(parent)(u, v), read off its
+    docstring with networkx: build the child, whose removable edges are
+    its pendant edges and the edges nx.bridges does not list, and keep it
+    when no removable edge's key exceeds the key of its new edge uv.  A
+    pendant edge is keyed by (degree of its attachment vertex, sum of that
+    vertex's neighbors' degrees), a cycle edge by (degree sum, smaller
+    degree, common neighbors), and pendant edges outrank cycle edges."""
+    import networkx as nx
+
+    child = to_networkx(parent)
+    child.add_edge(u, v)
+    deg = child.degree
+    bridges = {frozenset(e) for e in nx.bridges(child)}
+
+    def key(x, y):
+        if deg[y] == 1:
+            x, y = y, x
+        if deg[x] == 1:
+            return (1, deg[y], sum(deg[w] for w in child[y]))
+        return (0, deg[x] + deg[y], min(deg[x], deg[y]),
+                len(set(child[x]) & set(child[y])))
+
+    removable = [(x, y) for x, y in child.edges
+                 if 1 in (deg[x], deg[y]) or frozenset((x, y)) not in bridges]
+    return all(key(x, y) <= key(u, v) for x, y in removable)
+
+
+def is_p4_free(edges: list[tuple[int, int]]) -> bool:
+    """Whether the graph on these edges has no path on four vertices:
+    exactly when each of its components is a triangle or a star."""
+    adj: dict[int, set[int]] = {}
+    for a, b in edges:
+        adj.setdefault(a, set()).add(b)
+        adj.setdefault(b, set()).add(a)
+    seen: set[int] = set()
+    for s in adj:
+        if s in seen:
+            continue
+        comp, stack = {s}, [s]
+        while stack:
+            for w in adj[stack.pop()] - comp:
+                comp.add(w)
+                stack.append(w)
+        seen |= comp
+        size = sum(len(adj[x]) for x in comp) // 2
+        star = size == len(comp) - 1 == max(len(adj[x]) for x in comp)
+        if not (star or size == len(comp) == 3):
+            return False
+    return True
+
+
+def p4_free_coloring(edges: list[tuple[int, int]], r: int
+                     ) -> tuple[int, ...] | None:
+    """Ground truth for arrows(host, P4, r) over a plain edge list: the
+    first r-coloring, in lexicographic order of the color tuple, whose
+    color classes are all P4-free, or None when there is none.  Adding an
+    edge never removes a P4, so a prefix whose last color class has one
+    is dropped with every coloring that extends it."""
+    colors: list[int] = []
+
+    def extend() -> bool:
+        if len(colors) == len(edges):
+            return True
+        for c in range(1, r + 1):
+            colors.append(c)
+            cls = [e for e, k in zip(edges, colors) if k == c]
+            if is_p4_free(cls) and extend():
+                return True
+            colors.pop()
+        return False
+
+    return tuple(colors) if extend() else None
 
 
 def wl_colors_reference(n: int, adj, colors: list[int]) -> list[int]:

@@ -179,8 +179,16 @@ def test_edge_list_roundtrip_and_errors():
     assert parsed.vertex_count == 3 and parsed.edge_count == 1
     headerless = parse_edge_list("0 1\n1 2\n")
     assert headerless.vertex_count == 3
-    with pytest.raises(EdgeListError):
-        parse_edge_list("2\n0 2\n")  # endpoint beyond declared count
+    # an endpoint beyond the declared count is blamed on its own line
+    with pytest.raises(EdgeListError) as err:
+        parse_edge_list("2\n0 2\n")
+    assert err.value.line == 2
+    with pytest.raises(EdgeListError) as err:
+        parse_edge_list("3\n0 1\n1 5\n")
+    assert err.value.line == 3
+    with pytest.raises(EdgeListError) as err:
+        parse_edge_list("# header\n\n4\n0 1\n2 3\n# note\n3 4\n")
+    assert err.value.line == 7
     with pytest.raises(EdgeListError):
         parse_edge_list("0 1\n3\n")  # count line after an edge
     with pytest.raises(EdgeListError):

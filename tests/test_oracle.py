@@ -362,28 +362,31 @@ def test_deletion_filter_looks_past_bridges():
     parent = Graph(8, [e for e in edges if e != (0, 3)])
     assert oracle._deletion_filter(parent)(0, 3)
     # with a higher-key cycle edge that has no common neighbor, which only
-    # the bridge pass tells from a bridge, it is rejected
+    # a connectivity check without that edge tells from a bridge, it is
+    # rejected
     parent = Graph(8, [e for e in edges if e != (0, 1)])
     assert not oracle._deletion_filter(parent)(0, 1)
 
 
-def test_bridges_match_networkx(rng):
-    found = 0
-    for _ in range(200):
-        n = rng.randint(2, 12)
-        g = helpers.random_graph(rng, n, rng.randint(n - 1, 2 * n))
-        ng = helpers.to_networkx(g)
-        if not nx.is_connected(ng):
-            continue
-        want = {(min(u, v), max(u, v)) for u, v in nx.bridges(ng)}
-        assert oracle._bridges(g.adj) == want
-        found += bool(want)
-    assert found >= 50
-
-
-def test_bridges_depth_is_not_bounded_by_recursion():
-    p = path_graph(5000)
-    assert oracle._bridges(p.adj) == set(p.edges)
+def test_deletion_filter_matches_networkx_reference(rng):
+    # every child of random connected parents, pendant children included,
+    # judged by the filter and by a reference read off its docstring
+    kept = rejected = 0
+    for _ in range(400):
+        n = rng.randint(2, 9)
+        tree = helpers.random_tree(rng, n)
+        extra = helpers.random_graph(rng, n, rng.randint(0, n))
+        parent = Graph(n, tree.edges | extra.edges)
+        keep = oracle._deletion_filter(parent)
+        children = [(u, v) for u in range(n) for v in range(u + 1, n)
+                    if not parent.has_edge(u, v)] + [(u, n) for u in range(n)]
+        for u, v in children:
+            got = keep(u, v)
+            assert got == helpers.deletion_filter_reference(parent, u, v), (
+                sorted(parent.edges), u, v)
+            kept += got
+            rejected += not got
+    assert kept >= 1000 and rejected >= 1000
 
 
 def test_enumeration_bad_edge_count():
@@ -417,6 +420,22 @@ def test_arrows_one_color_is_containment():
     res = arrows(path_graph(4), k3, 1)
     assert res.status == "free"
     assert set(res.witness.values()) == {1}  # the only color in a 1-palette
+
+
+@pytest.mark.parametrize("removed, status", [([(0, 1)], "arrows"),
+                                             ([(0, 1), (2, 3)], "free")],
+                         ids=["K6-e", "K6-2e"])
+def test_p4_three_colors_arrowing_half(removed, status):
+    # the arrowing half of R^_3(P4) = 14: K6 minus an edge arrows P4 in
+    # three colors, K6 minus two disjoint edges does not; a brute force
+    # that shares no code with the search agrees on both
+    edges = [e for e in complete_graph(6).sorted_edges() if e not in removed]
+    res = arrows(Graph(6, edges), path_graph(4), 3)
+    assert res.status == status
+    assert (helpers.p4_free_coloring(edges, 3) is None) == (status == "arrows")
+    if res.witness is not None:
+        assert all(helpers.is_p4_free([e for e in edges if res.witness[e] == c])
+                   for c in (1, 2, 3))
 
 
 def test_arrows_budget_and_domain():
