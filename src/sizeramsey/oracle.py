@@ -6,17 +6,22 @@ inside one component), each host is tested by exhaustive coloring search,
 and the resulting exact values are compared against the package's own
 lower and upper bounds.  Disagreements are reported, never patched over.
 
-Three cuts skip work without changing any result.  The enumeration makes
+Five cuts skip work without changing any result.  The enumeration makes
 one child per orbit of the parent's twin swaps, and drops a child before
 its canonical form when one of its removable edges (a pendant edge, or an
 edge on a cycle) has a greater invariant key than the edge just added.
 Every class still has a child that passes both: re-add its greatest-key
 edge to the representative of what removing that edge leaves.  So every
 level holds the classes that trying every child gives, each represented
-by the first child that passes (see _grow_levels).  And the exact search
+by the first child that passes (see _grow_levels).  A passing child gets
+a canonical form only when another shares its cheap invariant key, n and
+the sorted (degree, neighbor-degree sum) pairs (_file).  The exact search
 starts at r(e(H)-1)+1 edges (colorings._pigeonhole_bound): a host with at
 most r(e(H)-1) edges splits into r colors of fewer than e(H) edges each,
-so none of its colors holds a copy of H and it cannot arrow.
+so none of its colors holds a copy of H and it cannot arrow.  And a host
+whose parent in the enumeration has an H-free coloring first tries to
+extend it by a color on the new edge (_inherit); only a host that
+inherits none is searched.
 
 The exact search tries every connected host up to emax edges, whatever
 its vertex count, so a reported lower end of a bracket is proved; only
@@ -35,6 +40,7 @@ from .graphs import Graph, emit_graph6, is_connected, is_tree
 from .verify import (
     EdgeColoring,
     _anchored_plans,
+    _embed_through_edge,
     _mono_copy,
     _search_h_free,
     _twin_labels,
@@ -277,10 +283,96 @@ def _deletion_filter(g: Graph):
     return keep
 
 
+def _invariant_key(n: int, edges) -> int:
+    """A hash of n and the sorted (degree, sum of the neighbors' degrees)
+    pairs of the graph on vertices 0..n-1 with the given edges: an
+    isomorphism invariant far cheaper than canonical_form.  Hashing keeps
+    each key one small int; graphs whose hashes collide only share a
+    bucket (see _file)."""
+    deg = [0] * n
+    for u, v in edges:
+        deg[u] += 1
+        deg[v] += 1
+    sums = [0] * n
+    for u, v in edges:
+        sums[u] += deg[v]
+        sums[v] += deg[u]
+    return hash((n, tuple(sorted(zip(deg, sums)))))
+
+
+def _file(buckets: dict, forms: dict, g: Graph) -> bool:
+    """File g under its _invariant_key; whether it starts a new class.
+
+    buckets[key] holds the first graph with that key until a second one
+    lands there; from then on it holds None, and the graphs of that key
+    are filed in forms, by canonical form, each class under its first
+    graph.  So forms are computed only for graphs that share a key, the
+    first of them included.  Isomorphic graphs share a key, so the
+    classes found are those that filing every graph by its form finds,
+    with the same first graphs."""
+    key = _invariant_key(g.vertex_count, g.edges)
+    first = buckets.setdefault(key, g)
+    if first is g:
+        return True
+    if first is not None:
+        forms[canonical_form(first)] = first
+        buckets[key] = None
+    return forms.setdefault(canonical_form(g), g) is g
+
+
+def _next_level(parents: list[Graph], index: list[int], vmax: int | None
+                ) -> tuple[list[Graph], list[tuple[int, int, int]]]:
+    """One step of _grow_levels: the representatives of the next level, in
+    the order their classes were found, and for each the (index[i] of its
+    parent parents[i], u, v) of the edge uv it adds, a pendant edge when v
+    is the parent's vertex count."""
+    buckets: dict[int, Graph | None] = {}
+    forms: dict[tuple[int, int], Graph] = {}
+    reps: list[Graph] = []
+    origins: list[tuple[int, int, int]] = []
+    for g, p in zip(parents, index):
+        n = g.vertex_count
+        label = _twin_labels(g.adj)
+        keep = _deletion_filter(g)
+        least = [v for v in range(n) if label[v] == v]
+        # second[u]: the next member of the class of its least member u
+        second: dict[int, int] = {}
+        for v in range(n):
+            if label[v] != v:
+                second.setdefault(label[v], v)
+        adds = [(u, v) for u in least for v in range(u + 1, n)
+                if (label[v] == v or v == second.get(u))
+                and not g.has_edge(u, v) and keep(u, v)]
+        if vmax is None or n + 1 <= vmax:
+            adds += [(u, n) for u in least if keep(u, n)]
+        for u, v in adds:
+            child = Graph(max(n, v + 1), [*g.edges, (u, v)])
+            if _file(buckets, forms, child):
+                reps.append(child)
+                origins.append((p, u, v))
+    return reps, origins
+
+
+class _Level(tuple):
+    """A level of _grow_levels: the pair (e, graphs), which unpacks as a
+    pair, and origins, where origins[i] is the (index of the parent in the
+    level before, u, v) of the edge uv that graphs[i] adds to it."""
+
+    origins: list
+
+    def __new__(cls, e: int, graphs: list[Graph], origins: list):
+        level = super().__new__(cls, (e, graphs))
+        level.origins = origins
+        return level
+
+
 def _grow_levels(emax: int, vmax: int | None):
-    """Yield (e, [graphs]) for e = 1..emax, one representative per
-    isomorphism class of connected graphs with e edges and no isolated
-    vertices (at most vmax vertices when given).  Callers ensure
+    """Yield a _Level (e, [graphs]) for e = 1..emax: one representative
+    per isomorphism class of connected graphs with e edges and no
+    isolated vertices (at most vmax vertices when given).  Its origins
+    give, for each graph, the parent and the new edge it was made from:
+    the graph is the parent plus that edge, on the parent's vertex
+    labels.  K2, the first level, has origin None.  Callers ensure
     emax >= 1.
 
     Every connected graph with e+1 edges yields a connected predecessor
@@ -309,41 +401,31 @@ def _grow_levels(emax: int, vmax: int | None):
     or its twin-swap image, which the first cut keeps, gives a child
     isomorphic to C whose new edge corresponds to e'.  The key is
     invariant, so that edge is greatest too and the child passes.  The
-    global dict of canonical forms still merges the children of a class
-    that several parents, or several edges of equal key, make.
+    children of a class that several parents, or several edges of equal
+    key, make are still merged: by canonical form, computed only for the
+    children that share an _invariant_key with another (_file).
 
     A class is represented by the first of its children that passes both
-    cuts, so representatives depend on this generator; the levels hold
-    the same classes as trying every child would.
+    cuts, parents taken in the order their classes were found, so
+    representatives depend on this generator; the levels hold the same
+    classes as trying every child would.  Each level is yielded sorted
+    by (vertex count, sorted edges).
     """
-    k2 = Graph(2, [(0, 1)])
-    level = {canonical_form(k2): k2}
-    yield 1, [k2]
+    # the level in the order its classes were found, and the index of
+    # each graph in the sorted level yielded
+    graphs, index = [Graph(2, [(0, 1)])], [0]
+    yield _Level(1, graphs, [None])
     for e in range(2, emax + 1):
-        nxt: dict[tuple[int, int], Graph] = {}
-        for g in level.values():
-            n = g.vertex_count
-            label = _twin_labels(g.adj)
-            keep = _deletion_filter(g)
-            least = [v for v in range(n) if label[v] == v]
-            # second[u]: the next member of the class of its least member u
-            second: dict[int, int] = {}
-            for v in range(n):
-                if label[v] != v:
-                    second.setdefault(label[v], v)
-            for u in least:
-                for v in range(u + 1, n):
-                    if ((label[v] == v or v == second.get(u))
-                            and not g.has_edge(u, v) and keep(u, v)):
-                        g2 = Graph(n, list(g.edges) + [(u, v)])
-                        nxt.setdefault(canonical_form(g2), g2)
-            if vmax is None or n + 1 <= vmax:
-                for u in least:
-                    if keep(u, n):
-                        g2 = Graph(n + 1, list(g.edges) + [(u, n)])
-                        nxt.setdefault(canonical_form(g2), g2)
-        level = nxt
-        yield e, sorted(level.values(), key=lambda g: (g.vertex_count, g.sorted_edges()))
+        graphs, origins = _next_level(graphs, index, vmax)
+        order = sorted(range(len(graphs)), key=lambda i: (
+            graphs[i].vertex_count, graphs[i].sorted_edges()))
+        index = [0] * len(graphs)
+        for k, i in enumerate(order):
+            index[i] = k
+        level = _Level(e, [graphs[i] for i in order], [origins[i] for i in order])
+        # the next level needs only graphs and index
+        del order, origins
+        yield level
 
 
 def enumerate_connected_graphs(edge_count: int, max_vertices: int | None = None
@@ -401,6 +483,41 @@ def _arrows(g: Graph, h: Graph, r: int, plans, node_budget: int | None
     return ArrowingResult(status, nodes, colors)
 
 
+def _inherit(g: Graph, h: Graph, r: int, plans, colors: bytes, u: int,
+             v: int) -> bytes | None:
+    """A target-free coloring of g, or None.  g is a parent host plus the
+    edge uv, on the parent's labels, and colors a target-free coloring of
+    the parent: one color per edge, in sorted-edge order.
+
+    uv takes the least color 1..r through which no copy of h passes,
+    asked of h's _anchored_plans on that color's bitmasks by
+    _embed_through_edge: the parent's coloring holds no copy, so a copy
+    in the extension uses uv (the edge-by-edge extension of McKay &
+    Radziszowski, "R(4,5) = 25", 1995).  As _arrows does for a free
+    witness, the extension is re-checked whole by _mono_copy, and a copy
+    raises.  None when every color makes a copy: g may still be free,
+    and only a search can tell."""
+    edges = g.sorted_edges()
+    k = edges.index((u, v))
+    masks = [[0] * g.vertex_count for _ in range(r + 1)]
+    for (x, y), c in zip(edges[:k] + edges[k + 1:], colors):
+        masks[c][x] |= 1 << y
+        masks[c][y] |= 1 << x
+    for c in range(1, r + 1):
+        adj = masks[c]
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
+        if all(_embed_through_edge(plan, adj, u, v) is None for plan in plans):
+            colors = colors[:k] + bytes((c,)) + colors[k:]
+            if _mono_copy(EdgeColoring(g, r, dict(zip(edges, colors))), h,
+                          plans[0]):
+                raise AssertionError(
+                    "inherited witness contains a monochromatic copy; "
+                    "extension bug")
+            return colors
+    return None
+
+
 @dataclass
 class ExactResult:
     """Exact value or bracket for the r-color size-Ramsey number of target.
@@ -408,6 +525,8 @@ class ExactResult:
     status "exact" means lower == upper == value.  Otherwise "open":
     lower is the least edge count not yet ruled out, upper the least edge
     count of a proven arrowing host (None if none found up to emax).
+    nodes counts the coloring search's nodes over the hosts it searched;
+    a host that inherits a coloring from its parent adds none.
     """
 
     target_graph6: str
@@ -435,13 +554,25 @@ def size_ramsey_exact(h: Graph, r: int, emax: int,
     color holds a copy of h.  The search starts at r(e(h)-1)+1 edges; the
     smaller levels are still grown, as parents of the next, and none is
     grown when that start exceeds emax.
-    The target's anchored plans, one per orbit of its oriented edges, are
-    compiled once per call, and every host goes through _arrows, the
-    search and free-witness re-check of arrows, over those plans.
+
+    Each host is its parent in the level before plus one new edge (see
+    _grow_levels).  The hosts with r(e(h)-1) edges get that pigeonhole
+    split, in sorted-edge order, as their h-free coloring.  A later host
+    whose parent has an h-free coloring tries to extend it, one color on
+    the new edge (_inherit); an extension that passes is re-checked whole
+    by _mono_copy, and the host is free with no search.  Every other host
+    goes through _arrows, the search and free-witness re-check of arrows.
+    Both run the target's anchored plans, one per orbit of its oriented
+    edges, compiled once per call.  Only the free colorings of the level
+    just decided are kept, as bytes, one color per edge.
 
     Budget-limited hosts are collected rather than guessed at: the result
     is only "exact" when every smaller host was definitively shown not to
-    arrow.
+    arrow.  An inherited coloring can settle a host that the search would
+    leave undecided, so lower can only rise over searching every host.
+    A host that arrows never inherits, so upper and the arrowing host are
+    those of searching every host, and so is every field but nodes when
+    no host is left undecided.
     """
     if not is_connected(h) or h.edge_count == 0:
         raise DomainError("the target must be connected with at least one edge")
@@ -452,26 +583,46 @@ def size_ramsey_exact(h: Graph, r: int, emax: int,
     if node_budget is not None and node_budget < 0:
         raise DomainError(f"need node_budget >= 0, got {node_budget}")
     plans = _anchored_plans(h)
-    start = _pigeonhole_bound(h.edge_count, r)
+    m = h.edge_count
+    start = _pigeonhole_bound(m, r)
     total_nodes = 0
     unknown: list[tuple[int, str]] = []
     found_e: int | None = None
     found_host: str | None = None
+    # witness[p]: a target-free coloring of host p of the level before, as
+    # bytes in sorted-edge order, or None when that host has none
+    witness: list[bytes | None] = []
     levels = _grow_levels(emax, None) if start <= emax else ()
-    for e, graphs in levels:
-        if e < start:
+    for level in levels:
+        e, graphs = level
+        if e < start - 1:
             continue
-        for g in graphs:
-            res = _arrows(g, h, r, plans, node_budget)
-            total_nodes += res.nodes
-            if res.status == "arrows":
-                found_e = e
-                found_host = emit_graph6(g)
-                break
-            if res.status == "unknown":
-                unknown.append((e, emit_graph6(g)))
+        if e == start - 1:
+            # r colors of e(h)-1 edges each, edges taken in sorted order
+            witness = [bytes(i // (m - 1) + 1 for i in range(e))] * len(graphs)
+            continue
+        free: list[bytes | None] = []
+        for g, origin in zip(graphs, level.origins):
+            colors = None
+            if witness:
+                p, u, v = origin
+                if witness[p] is not None:
+                    colors = _inherit(g, h, r, plans, witness[p], u, v)
+            if colors is None:
+                res = _arrows(g, h, r, plans, node_budget)
+                total_nodes += res.nodes
+                if res.status == "arrows":
+                    found_e = e
+                    found_host = emit_graph6(g)
+                    break
+                if res.status == "unknown":
+                    unknown.append((e, emit_graph6(g)))
+                else:
+                    colors = bytes(res.witness[x] for x in g.sorted_edges())
+            free.append(colors)
         if found_e is not None:
             break
+        witness = free
     lower = found_e if found_e is not None else max(emax + 1, start)
     if unknown:
         lower = min(lower, min(e for e, _ in unknown))

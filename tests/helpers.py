@@ -1,7 +1,8 @@
 """Shared test utilities: a vectorized brute-force embedding oracle,
-references for the host enumeration and its deletion filter, a
-brute-force P4-free coloring search, random instance generators for the
-coloring constructions, and builders of twin-rich graphs.
+references for the host enumeration, its deletion filter and the exact
+size-Ramsey search, a brute-force P4-free coloring search, random
+instance generators for the coloring constructions, and builders of
+twin-rich graphs.
 
 The oracle here is deliberately independent of the package's own search:
 it materializes every injective vertex map as a numpy array and checks all
@@ -164,6 +165,25 @@ def deletion_filter_reference(parent: Graph, u: int, v: int) -> bool:
     removable = [(x, y) for x, y in child.edges
                  if 1 in (deg[x], deg[y]) or frozenset((x, y)) not in bridges]
     return all(key(x, y) <= key(u, v) for x, y in removable)
+
+
+def exact_reference(h: Graph, r: int, emax: int) -> dict:
+    """Reference for size_ramsey_exact(h, r, emax).to_dict() less its node
+    count: every host from the pigeonhole start r(e(h)-1)+1 edges up goes
+    through arrows, with no budget and no coloring carried from a parent
+    host, until one arrows."""
+    from sizeramsey import arrows, emit_graph6, enumerate_connected_graphs
+
+    start = r * (h.edge_count - 1) + 1
+    out = {"target_graph6": emit_graph6(h), "r": r, "status": "open",
+           "value": None, "lower": max(emax + 1, start), "upper": None,
+           "emax": emax, "unknown_hosts": [], "arrowing_host_graph6": None}
+    for e in range(start, emax + 1):
+        for g in enumerate_connected_graphs(e):
+            if arrows(g, h, r).status == "arrows":
+                return {**out, "status": "exact", "value": e, "lower": e,
+                        "upper": e, "arrowing_host_graph6": emit_graph6(g)}
+    return out
 
 
 def is_p4_free(edges: list[tuple[int, int]]) -> bool:

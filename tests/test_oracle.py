@@ -28,6 +28,7 @@ from sizeramsey import (
     mono_copy,
     EdgeColoring,
     make_double_star,
+    parse_graph6,
     path_graph,
     size_ramsey_exact,
     star,
@@ -331,18 +332,57 @@ def test_enumeration_matches_the_graph_atlas():
 
 
 def test_enumeration_prunes_twin_orbits(monkeypatch):
-    # through 7 edges: K2 and the 179 children that pass both cuts; the
-    # twin cut alone leaves 500, and trying every child takes 706
-    calls = []
-    original = oracle.canonical_form
+    # through 7 edges: K2 and the 179 children that pass both cuts and
+    # are filed into buckets; the twin cut alone leaves 500, and trying
+    # every child takes 706.  Of those 180, canonical forms are computed
+    # only for the 85 that share a bucket with another child
+    filed, forms = [], []
+    original_file, original_form = oracle._file, oracle.canonical_form
 
-    def counting(g):
-        calls.append(g.edge_count)
-        return original(g)
+    def counting_file(buckets, forms, g):
+        filed.append(g.edge_count)
+        return original_file(buckets, forms, g)
 
-    monkeypatch.setattr(oracle, "canonical_form", counting)
+    def counting_form(g):
+        forms.append(g.edge_count)
+        return original_form(g)
+
+    monkeypatch.setattr(oracle, "_file", counting_file)
+    monkeypatch.setattr(oracle, "canonical_form", counting_form)
     assert sum(len(graphs) for _, graphs in oracle._grow_levels(7, None)) == 131
-    assert len(calls) == 180
+    assert 1 + len(filed) == 180
+    assert len(forms) == 85
+
+
+def test_a_shared_invariant_key_keeps_both_classes():
+    # two triangles joined by the edge 0-3, and the 6-cycle 0-1-3-5-4-2
+    # with the long chord 0-5: degrees 3, 3, 2, 2, 2, 2, each degree-3
+    # vertex's neighbors summing to 7 and each degree-2 vertex's to 5, so
+    # only canonical forms tell them apart
+    triangles, chorded = parse_graph6("E{CW"), parse_graph6("EqIW")
+    assert sorted(triangles.edges) == [(0, 1), (0, 2), (0, 3), (1, 2),
+                                       (3, 4), (3, 5), (4, 5)]
+    assert sorted(chorded.edges) == [(0, 1), (0, 2), (0, 5), (1, 3),
+                                     (2, 4), (3, 5), (4, 5)]
+    key = oracle._invariant_key(6, triangles.edges)
+    assert oracle._invariant_key(6, chorded.edges) == key
+    assert canonical_form(triangles) != canonical_form(chorded)
+    # filed under one key, both classes stay, each under the graph that
+    # came first, and a relabeled copy of either joins its class
+    rng = random.Random(1998)
+    buckets, forms = {}, {}
+    assert oracle._file(buckets, forms, triangles)
+    assert forms == {}
+    assert oracle._file(buckets, forms, chorded)
+    assert not oracle._file(buckets, forms, relabel(chorded, rng))
+    assert not oracle._file(buckets, forms, relabel(triangles, rng))
+    assert buckets == {key: None}
+    assert list(forms.values()) == [triangles, chorded]
+    # and the enumeration keeps both at 7 edges, as these representatives,
+    # among 79 classes
+    level = dict(oracle._grow_levels(7, None))[7]
+    assert {"E{CW", "EqIW"} <= {emit_graph6(g) for g in level}
+    assert len({canonical_form(g) for g in level}) == len(level) == 79
 
 
 def test_deletion_filter_rejects_a_cycle_child_with_a_leaf():
@@ -527,18 +567,26 @@ def test_exact_budget_collects_unknowns():
                          ids=["S2-6", "P4-2"])
 def test_exact_search_starts_at_the_pigeonhole_bound(monkeypatch, target, r):
     # r(e(H)-1) edges split into r colors of e(H)-1 edges each: no host
-    # that small reaches the coloring search
-    searched = []
-    original = oracle._search_h_free
+    # that small is decided, by the coloring search or by a coloring
+    # inherited from its parent, and the first decided are at the start
+    decided = []
+    original_search, original_inherit = oracle._search_h_free, oracle._inherit
 
-    def recording(g, *args):
-        searched.append(g.edge_count)
-        return original(g, *args)
+    def searching(g, *args):
+        decided.append(g.edge_count)
+        return original_search(g, *args)
 
-    monkeypatch.setattr(oracle, "_search_h_free", recording)
+    def inheriting(g, *args):
+        colors = original_inherit(g, *args)
+        if colors is not None:
+            decided.append(g.edge_count)
+        return colors
+
+    monkeypatch.setattr(oracle, "_search_h_free", searching)
+    monkeypatch.setattr(oracle, "_inherit", inheriting)
     res = size_ramsey_exact(target, r, emax=7)
     assert res.status == "exact" and res.value == 7
-    assert searched and min(searched) == r * (target.edge_count - 1) + 1
+    assert decided and min(decided) == r * (target.edge_count - 1) + 1
 
 
 @pytest.mark.parametrize("target, r, emax, lower",
@@ -547,19 +595,49 @@ def test_exact_search_starts_at_the_pigeonhole_bound(monkeypatch, target, r):
 def test_exact_below_the_pigeonhole_bound_grows_no_level(monkeypatch, target,
                                                           r, emax, lower):
     # with emax below r(e(H)-1)+1 every host in range is ruled out by
-    # proof: the lower end is that start, and no host is enumerated
-    calls = []
-    original = oracle.canonical_form
+    # proof: the lower end is that start, and no level is grown
+    grown = []
+    original = oracle._grow_levels
 
-    def counting(g):
-        calls.append(g)
-        return original(g)
+    def recording(*args):
+        for level in original(*args):
+            grown.append(level[0])
+            yield level
 
-    monkeypatch.setattr(oracle, "canonical_form", counting)
+    monkeypatch.setattr(oracle, "_grow_levels", recording)
     res = size_ramsey_exact(target, r, emax=emax)
     assert res.status == "open" and res.upper is None
     assert res.lower == lower and res.nodes == 0
-    assert calls == []
+    assert grown == []
+    # the spy does see the levels of a call that searches
+    size_ramsey_exact(star(2), 2, emax=3)
+    assert grown == [1, 2, 3]
+
+
+def test_a_wrong_inherited_color_surfaces_as_an_error(monkeypatch):
+    # a mask check that finds no copy through the new edge accepts color 1
+    # for every host; the whole-coloring re-check raises on the first that
+    # holds a monochromatic copy instead of passing a wrong "free" on
+    monkeypatch.setattr(oracle, "_embed_through_edge", lambda *args: None)
+    with pytest.raises(AssertionError,
+                       match="inherited witness contains a monochromatic copy"):
+        size_ramsey_exact(path_graph(4), 2, emax=7)
+
+
+K4_MINUS_E = Graph(4, [(0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
+
+
+@pytest.mark.parametrize("target", [star(2), star(3), star(4), path_graph(4),
+                                    path_graph(5), complete_graph(3),
+                                    cycle_graph(4), K4_MINUS_E],
+                         ids=["S2", "S3", "S4", "P4", "P5", "K3", "C4", "K4-e"])
+def test_exact_matches_a_per_host_arrows_loop(target):
+    # field for field, the node count aside: inherited colorings, which
+    # skip the searches, never change a value, a bracket or a host
+    for r in (1, 2, 3):
+        got = size_ramsey_exact(target, r, 8).to_dict()
+        del got["nodes"]
+        assert got == helpers.exact_reference(target, r, 8), r
 
 
 def test_exact_compiles_the_target_once_per_call(monkeypatch):

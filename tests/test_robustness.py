@@ -324,3 +324,10 @@ def test_the_search_kernel_and_its_checker_share_no_embedding_code():
     for caller, checker in (("arrows", "mono_copy"), ("_arrows", "_mono_copy")):
         assert checker in oracle[caller], caller
         assert "_embed_through_edge" not in oracle[caller], caller
+    # every oracle function that takes a free coloring from the search or
+    # from the mask kernel re-checks it through one of the checkers
+    producers = {"search_h_free_coloring", "_search_h_free", "_embed_through_edge"}
+    takers = {fn for fn, names in oracle.items() if names & producers}
+    assert {"arrows", "_arrows", "_inherit"} <= takers
+    for fn in takers:
+        assert oracle[fn] & {"mono_copy", "_mono_copy"}, fn
