@@ -6,7 +6,8 @@ inside one component), each host is tested by exhaustive coloring search,
 and the resulting exact values are compared against the package's own
 lower and upper bounds.  Disagreements are reported, never patched over.
 
-Five cuts skip work without changing any result.  The enumeration makes
+Five cuts skip work without changing any level, value or arrowing host
+(size_ramsey_exact says what else they change).  The enumeration makes
 one child per orbit of the parent's twin swaps, and drops a child before
 its canonical form when one of its removable edges (a pendant edge, or an
 edge on a cycle) has a greater invariant key than the edge just added.
