@@ -380,6 +380,8 @@ def _cmd_simulate(args) -> int:
     tree = parse_graph_spec(args.tree, args.format)
     if not is_tree(tree) or tree.edge_count == 0:
         raise DomainError("simulate needs a tree target with at least one edge")
+    if args.adversary == "worst_of_k" and args.k < 1:  # before any output
+        raise DomainError(f"worst_of_k needs k >= 1, got {args.k}")
     params = ExpanderParams.from_constants(args.a_const, args.b_const, args.r,
                                            tree.vertex_count)
     seeds = _parse_seed_range(args.seeds)

@@ -49,8 +49,9 @@ def _normalize_edge(u: int, v: int) -> tuple[int, int]:
 class Graph:
     """An immutable undirected simple graph.
 
-    Self-loops and parallel edges are rejected at construction time, so
-    every algorithm in the package may assume a simple graph.
+    Self-loops are rejected at construction time, and an edge given more
+    than once, in either orientation, is stored once, so every algorithm
+    in the package may assume a simple graph.
     """
 
     __slots__ = ("vertex_count", "edges", "_adj")

@@ -22,7 +22,8 @@ most r(e(H)-1) edges splits into r colors of fewer than e(H) edges each,
 so none of its colors holds a copy of H and it cannot arrow.  And a host
 whose parent in the enumeration has an H-free coloring first tries to
 extend it by a color on the new edge (_inherit); only a host that
-inherits none is searched.
+inherits none is searched.  Every free coloring, inherited or searched,
+is re-checked at one site, by the set kernel's _mono_copy.
 
 The exact search tries every connected host up to emax edges, whatever
 its vertex count, so a reported lower end of a bracket is proved; only
@@ -354,26 +355,14 @@ def _next_level(parents: list[Graph], index: list[int], vmax: int | None
     return reps, origins
 
 
-class _Level(tuple):
-    """A level of _grow_levels: the pair (e, graphs), which unpacks as a
-    pair, and origins, where origins[i] is the (index of the parent in the
-    level before, u, v) of the edge uv that graphs[i] adds to it."""
-
-    origins: list
-
-    def __new__(cls, e: int, graphs: list[Graph], origins: list):
-        level = super().__new__(cls, (e, graphs))
-        level.origins = origins
-        return level
-
-
 def _grow_levels(emax: int, vmax: int | None):
-    """Yield a _Level (e, [graphs]) for e = 1..emax: one representative
-    per isomorphism class of connected graphs with e edges and no
-    isolated vertices (at most vmax vertices when given).  Its origins
-    give, for each graph, the parent and the new edge it was made from:
-    the graph is the parent plus that edge, on the parent's vertex
-    labels.  K2, the first level, has origin None.  Callers ensure
+    """Yield (e, graphs, origins) for e = 1..emax: graphs holds one
+    representative per isomorphism class of connected graphs with e edges
+    and no isolated vertices (at most vmax vertices when given), and
+    origins[i] is the (index of the parent in the level before, u, v) of
+    the edge uv that graphs[i] adds to it: the graph is the parent plus
+    that edge, on the parent's vertex labels.  K2, the first level, has
+    origin None; a vmax below 2 leaves every level empty.  Callers ensure
     emax >= 1.
 
     Every connected graph with e+1 edges yields a connected predecessor
@@ -414,8 +403,9 @@ def _grow_levels(emax: int, vmax: int | None):
     """
     # the level in the order its classes were found, and the index of
     # each graph in the sorted level yielded
-    graphs, index = [Graph(2, [(0, 1)])], [0]
-    yield _Level(1, graphs, [None])
+    graphs = [Graph(2, [(0, 1)])] if vmax is None or vmax >= 2 else []
+    index = [0] * len(graphs)
+    yield 1, graphs, [None] * len(graphs)
     for e in range(2, emax + 1):
         graphs, origins = _next_level(graphs, index, vmax)
         order = sorted(range(len(graphs)), key=lambda i: (
@@ -423,7 +413,7 @@ def _grow_levels(emax: int, vmax: int | None):
         index = [0] * len(graphs)
         for k, i in enumerate(order):
             index[i] = k
-        level = _Level(e, [graphs[i] for i in order], [origins[i] for i in order])
+        level = e, [graphs[i] for i in order], [origins[i] for i in order]
         # the next level needs only graphs and index
         del order, origins
         yield level
@@ -436,7 +426,7 @@ def enumerate_connected_graphs(edge_count: int, max_vertices: int | None = None
     if edge_count < 1:
         raise DomainError(f"edge_count must be >= 1, got {edge_count}")
     out: list[Graph] = []
-    for e, graphs in _grow_levels(edge_count, max_vertices):
+    for e, graphs, _ in _grow_levels(edge_count, max_vertices):
         if e == edge_count:
             out = graphs
     return out
@@ -471,34 +461,20 @@ def arrows(g: Graph, h: Graph, r: int, node_budget: int | None = None
     return ArrowingResult(status, nodes, colors)
 
 
-def _arrows(g: Graph, h: Graph, r: int, plans, node_budget: int | None
-            ) -> ArrowingResult:
-    """arrows over h's compiled _anchored_plans, with the budget checked by
-    the caller.  A free witness is re-checked by _mono_copy on the set
-    kernel, with plans[0] run without prescribed images: a complete search
-    for a copy that compiles nothing."""
-    status, colors, nodes = _search_h_free(g, plans, r, node_budget)
-    if status == "free" and _mono_copy(EdgeColoring(g, r, colors), h, plans[0]):
-        raise AssertionError(
-            "free witness contains a monochromatic copy; searcher bug")
-    return ArrowingResult(status, nodes, colors)
+def _inherit(g: Graph, r: int, plans, edges: list[tuple[int, int]],
+             colors: bytes, u: int, v: int) -> bytes | None:
+    """A coloring of g with no copy of the target through the edge uv, or
+    None.  g is a parent host plus uv, on the parent's labels, edges its
+    sorted edges, and colors a target-free coloring of the parent: one
+    color per edge, in sorted-edge order.
 
-
-def _inherit(g: Graph, h: Graph, r: int, plans, colors: bytes, u: int,
-             v: int) -> bytes | None:
-    """A target-free coloring of g, or None.  g is a parent host plus the
-    edge uv, on the parent's labels, and colors a target-free coloring of
-    the parent: one color per edge, in sorted-edge order.
-
-    uv takes the least color 1..r through which no copy of h passes,
-    asked of h's _anchored_plans on that color's bitmasks by
+    uv takes the least color 1..r through which no copy of the target
+    passes, asked of its _anchored_plans on that color's bitmasks by
     _embed_through_edge: the parent's coloring holds no copy, so a copy
     in the extension uses uv (the edge-by-edge extension of McKay &
-    Radziszowski, "R(4,5) = 25", 1995).  As _arrows does for a free
-    witness, the extension is re-checked whole by _mono_copy, and a copy
-    raises.  None when every color makes a copy: g may still be free,
-    and only a search can tell."""
-    edges = g.sorted_edges()
+    Radziszowski, "R(4,5) = 25", 1995).  The extension is returned
+    unchecked; size_ramsey_exact re-checks it whole.  None when every
+    color makes a copy: g may still be free, and only a search can tell."""
     k = edges.index((u, v))
     masks = [[0] * g.vertex_count for _ in range(r + 1)]
     for (x, y), c in zip(edges[:k] + edges[k + 1:], colors):
@@ -509,13 +485,7 @@ def _inherit(g: Graph, h: Graph, r: int, plans, colors: bytes, u: int,
         adj[u] |= 1 << v
         adj[v] |= 1 << u
         if all(_embed_through_edge(plan, adj, u, v) is None for plan in plans):
-            colors = colors[:k] + bytes((c,)) + colors[k:]
-            if _mono_copy(EdgeColoring(g, r, dict(zip(edges, colors))), h,
-                          plans[0]):
-                raise AssertionError(
-                    "inherited witness contains a monochromatic copy; "
-                    "extension bug")
-            return colors
+            return colors[:k] + bytes((c,)) + colors[k:]
     return None
 
 
@@ -560,12 +530,14 @@ def size_ramsey_exact(h: Graph, r: int, emax: int,
     _grow_levels).  The hosts with r(e(h)-1) edges get that pigeonhole
     split, in sorted-edge order, as their h-free coloring.  A later host
     whose parent has an h-free coloring tries to extend it, one color on
-    the new edge (_inherit); an extension that passes is re-checked whole
-    by _mono_copy, and the host is free with no search.  Every other host
-    goes through _arrows, the search and free-witness re-check of arrows.
-    Both run the target's anchored plans, one per orbit of its oriented
-    edges, compiled once per call.  Only the free colorings of the level
-    just decided are kept, as bytes, one color per edge.
+    the new edge (_inherit), and is free with no search when that
+    passes.  Every other host is searched by verify._search_h_free.  Both
+    run the target's anchored plans, one per orbit of its oriented edges,
+    compiled once per call.  Every free coloring, inherited or searched,
+    is re-checked whole at one site, by _mono_copy on the set kernel with
+    plans[0] run without prescribed images, and a monochromatic copy
+    raises.  Only the free colorings of the level just decided are kept,
+    as bytes, one color per edge.
 
     Budget-limited hosts are collected rather than guessed at: the result
     is only "exact" when every smaller host was definitively shown not to
@@ -594,8 +566,7 @@ def size_ramsey_exact(h: Graph, r: int, emax: int,
     # bytes in sorted-edge order, or None when that host has none
     witness: list[bytes | None] = []
     levels = _grow_levels(emax, None) if start <= emax else ()
-    for level in levels:
-        e, graphs = level
+    for e, graphs, origins in levels:
         if e < start - 1:
             continue
         if e == start - 1:
@@ -603,23 +574,29 @@ def size_ramsey_exact(h: Graph, r: int, emax: int,
             witness = [bytes(i // (m - 1) + 1 for i in range(e))] * len(graphs)
             continue
         free: list[bytes | None] = []
-        for g, origin in zip(graphs, level.origins):
+        for g, origin in zip(graphs, origins):
+            edges = g.sorted_edges()
             colors = None
             if witness:
                 p, u, v = origin
                 if witness[p] is not None:
-                    colors = _inherit(g, h, r, plans, witness[p], u, v)
+                    colors = _inherit(g, r, plans, edges, witness[p], u, v)
             if colors is None:
-                res = _arrows(g, h, r, plans, node_budget)
-                total_nodes += res.nodes
-                if res.status == "arrows":
+                verdict, searched, nodes = _search_h_free(g, plans, r, node_budget)
+                total_nodes += nodes
+                if verdict == "arrows":
                     found_e = e
                     found_host = emit_graph6(g)
                     break
-                if res.status == "unknown":
+                if verdict == "unknown":
                     unknown.append((e, emit_graph6(g)))
                 else:
-                    colors = bytes(res.witness[x] for x in g.sorted_edges())
+                    colors = bytes(searched[x] for x in edges)
+            if colors is not None and _mono_copy(
+                    EdgeColoring(g, r, dict(zip(edges, colors))), h, plans[0]):
+                raise AssertionError(
+                    "free witness contains a monochromatic copy; "
+                    "search or extension bug")
             free.append(colors)
         if found_e is not None:
             break

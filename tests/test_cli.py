@@ -386,6 +386,15 @@ def test_simulate_bad_seed_range(capsys, seeds, message):
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("k", ["0", "-3"])
+def test_simulate_rejects_an_empty_worst_of_k_before_any_output(capsys, k):
+    assert main(["simulate", "--tree", "path:4", "-A", "1", "-B", "40",
+                 "--adversary", "worst_of_k", "-k", k]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"worst_of_k needs k >= 1, got {k}" in captured.err
+
+
 def test_simulate_rejects_nontrees(capsys):
     assert main(["simulate", "--tree", "cycle:4", "-A", "1", "-B", "40"]) == 2
     assert "simulate needs a tree target" in capsys.readouterr().err

@@ -187,7 +187,7 @@ def test_canonical_forms_are_pinned(emax, count, digest):
     # the enumeration that kept first-seen representatives gives the same
     # digests
     rows = sorted((e, canonical_form(g))
-                  for e, graphs in oracle._grow_levels(emax, None) for g in graphs)
+                  for e, graphs, _ in oracle._grow_levels(emax, None) for g in graphs)
     assert len(rows) == count
     assert hashlib.sha256(repr(rows).encode()).hexdigest() == digest
 
@@ -266,9 +266,9 @@ def test_enumeration_counts(monkeypatch):
     monkeypatch.setattr(oracle, "_deletion_filter", counting_filter)
     monkeypatch.setattr(oracle, "canonical_form", counting_form)
     levels = list(oracle._grow_levels(len(expected), None))
-    assert [e for e, _ in levels] == list(range(1, len(expected) + 1))
-    assert [len(got) for _, got in levels] == expected
-    for e, got in levels:
+    assert [e for e, _, _ in levels] == list(range(1, len(expected) + 1))
+    assert [len(got) for _, got, _ in levels] == expected
+    for e, got, _ in levels:
         for g in got:
             assert g.edge_count == e
             assert all(g.degree(v) >= 1 for v in range(g.vertex_count))
@@ -291,12 +291,20 @@ def test_enumeration_vertex_cap():
     assert all(g.vertex_count <= 4 for g in capped)
 
 
+@pytest.mark.parametrize("vmax", [1, 0, -1])
+def test_enumeration_cap_below_two_vertices_leaves_every_level_empty(vmax):
+    # K2, the one graph with a single edge, has two vertices
+    assert enumerate_connected_graphs(1, max_vertices=vmax) == []
+    assert [len(graphs) for _, graphs, _ in oracle._grow_levels(3, vmax)] == [0, 0, 0]
+    assert enumerate_connected_graphs(1, max_vertices=2) == [Graph(2, [(0, 1)])]
+
+
 @pytest.mark.parametrize("emax, vmax", [(8, None), (8, 4), (8, 5)])
 def test_enumeration_matches_unpruned_reference(emax, vmax):
     # the same classes, level by level, as trying every child; which
     # child represents a class is the generator's own choice
     got = [[canonical_form(g) for g in graphs]
-           for _, graphs in oracle._grow_levels(emax, vmax)]
+           for _, graphs, _ in oracle._grow_levels(emax, vmax)]
     want = [[canonical_form(Graph(n, edges)) for n, edges in level]
             for level in helpers.connected_levels(emax, vmax)]
     assert [len(level) for level in got] == [len(level) for level in want]
@@ -314,7 +322,7 @@ def test_enumeration_matches_the_graph_atlas():
                       tuple(sorted(d for _, d in a.degree())))
             atlas.setdefault(bucket, []).append(a)
     ours: dict[tuple, list] = {}
-    for e, graphs in oracle._grow_levels(21, 7):
+    for e, graphs, _ in oracle._grow_levels(21, 7):
         for g in graphs:
             bucket = (g.vertex_count, e, tuple(sorted(g.degrees())))
             ours.setdefault(bucket, []).append(helpers.to_networkx(g))
@@ -349,7 +357,7 @@ def test_enumeration_prunes_twin_orbits(monkeypatch):
 
     monkeypatch.setattr(oracle, "_file", counting_file)
     monkeypatch.setattr(oracle, "canonical_form", counting_form)
-    assert sum(len(graphs) for _, graphs in oracle._grow_levels(7, None)) == 131
+    assert sum(len(graphs) for _, graphs, _ in oracle._grow_levels(7, None)) == 131
     assert 1 + len(filed) == 180
     assert len(forms) == 85
 
@@ -380,7 +388,7 @@ def test_a_shared_invariant_key_keeps_both_classes():
     assert list(forms.values()) == [triangles, chorded]
     # and the enumeration keeps both at 7 edges, as these representatives,
     # among 79 classes
-    level = dict(oracle._grow_levels(7, None))[7]
+    level = {e: graphs for e, graphs, _ in oracle._grow_levels(7, None)}[7]
     assert {"E{CW", "EqIW"} <= {emit_graph6(g) for g in level}
     assert len({canonical_form(g) for g in level}) == len(level) == 79
 
@@ -620,8 +628,33 @@ def test_a_wrong_inherited_color_surfaces_as_an_error(monkeypatch):
     # holds a monochromatic copy instead of passing a wrong "free" on
     monkeypatch.setattr(oracle, "_embed_through_edge", lambda *args: None)
     with pytest.raises(AssertionError,
-                       match="inherited witness contains a monochromatic copy"):
+                       match="free witness contains a monochromatic copy"):
         size_ramsey_exact(path_graph(4), 2, emax=7)
+
+
+def test_a_dropped_plan_orbit_in_the_exact_search_surfaces_as_an_error(
+        monkeypatch):
+    # no host inherits, so every host is searched, over K_{1,2}'s
+    # centre-to-leaf plan alone: the search answers "free" for the
+    # triangle, which arrows, and the one re-check of free colorings
+    # raises instead of passing a wrong "free" on
+    assert size_ramsey_exact(star(2), 2, emax=3).arrowing_host_graph6 == "Bw"
+    original_plans, original_search = oracle._anchored_plans, oracle._search_h_free
+    answers = []
+
+    def searching(g, *args):
+        res = original_search(g, *args)
+        answers.append((emit_graph6(g), res[0]))
+        return res
+
+    monkeypatch.setattr(oracle, "_inherit", lambda *args: None)
+    monkeypatch.setattr(oracle, "_anchored_plans", lambda h: [
+        p for p in original_plans(h) if p[0][0] == 0])
+    monkeypatch.setattr(oracle, "_search_h_free", searching)
+    with pytest.raises(AssertionError,
+                       match="free witness contains a monochromatic copy"):
+        size_ramsey_exact(star(2), 2, emax=3)
+    assert ("Bw", "free") in answers
 
 
 K4_MINUS_E = Graph(4, [(0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])

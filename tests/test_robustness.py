@@ -321,13 +321,22 @@ def test_the_search_kernel_and_its_checker_share_no_embedding_code():
     for checker in ("find_subgraph", "_mono_copy"):
         assert "_backtrack_embed" in reach(checker), checker
     oracle = _named_in("oracle")
-    for caller, checker in (("arrows", "mono_copy"), ("_arrows", "_mono_copy")):
+    # one free-witness re-check site per entry point: no private copy of
+    # arrows, and no level class beside the plain triples
+    module = importlib.import_module("sizeramsey.oracle")
+    assert not {"_arrows", "_Level"} & set(vars(module))
+    for caller, checker in (("arrows", "mono_copy"),
+                            ("size_ramsey_exact", "_mono_copy")):
         assert checker in oracle[caller], caller
         assert "_embed_through_edge" not in oracle[caller], caller
-    # every oracle function that takes a free coloring from the search or
-    # from the mask kernel re-checks it through one of the checkers
-    producers = {"search_h_free_coloring", "_search_h_free", "_embed_through_edge"}
-    takers = {fn for fn, names in oracle.items() if names & producers}
-    assert {"arrows", "_arrows", "_inherit"} <= takers
+    # _inherit hands its extension on unchecked, and every other oracle
+    # function that takes a free coloring from the search, from the mask
+    # kernel or from _inherit re-checks it through one of the checkers
+    checkers = {"mono_copy", "_mono_copy"}
+    assert not oracle["_inherit"] & checkers
+    producers = {"search_h_free_coloring", "_search_h_free",
+                 "_embed_through_edge", "_inherit"}
+    takers = {fn for fn, names in oracle.items() if names & producers} - {"_inherit"}
+    assert {"arrows", "size_ramsey_exact"} <= takers
     for fn in takers:
-        assert oracle[fn] & {"mono_copy", "_mono_copy"}, fn
+        assert oracle[fn] & checkers, fn
