@@ -384,20 +384,20 @@ def _resample(seed: int, draw, judge, failure: str, statistic: str):
 # the bucket lemma: rk proper colors grouped into r buckets of width k
 
 
-def _bucketed(g: Graph, x, r: int, k: int) -> dict[tuple[int, int], int]:
-    """The bucket lemma: colors 1..r on every edge incident with X, each
-    vertex of X meeting every color at most k times.  Every vertex of X
-    must have degree at most rk.
+def _bucketed(edges, x, r: int, k: int) -> dict[tuple[int, int], int]:
+    """The bucket lemma: colors 1..r on every edge of `edges` incident with
+    X, each vertex of X meeting every color at most k times.  Every vertex
+    of X must have at most rk of these edges.
 
-    A proper coloring of G[X] with rk colors is extended over the
-    X-leaving edges by giving each X endpoint pairwise distinct unused
+    A proper coloring of the edges inside X with rk colors is extended over
+    the X-leaving edges by giving each X endpoint pairwise distinct unused
     colors; colors (i-1)k+1 .. ik then form bucket i.
     """
-    st = _proper_coloring(edges_within(g, x), r * k)
-    for u, v in sorted(e for e in g.edges if (e[0] in x) != (e[1] in x)):
+    st = _proper_coloring(sorted(e for e in edges if e[0] in x and e[1] in x), r * k)
+    for u, v in sorted(e for e in edges if (e[0] in x) != (e[1] in x)):
         xe = u if u in x else v
-        # fewer than deg(xe) <= rk edges at xe are colored, so one of the
-        # rk colors is free there; the outside endpoint is unconstrained
+        # xe has at most rk of the edges and this one is uncolored, so one
+        # of the rk colors is free there; the outside endpoint is unconstrained
         c = st.first_free(xe)
         st.colors[(u, v)] = c
         st.at[xe][c] = v if xe == u else u
@@ -426,7 +426,7 @@ def vizing_bucket_coloring(g: Graph, x_set, r: int, k: int
                 f"vertex {v} has degree {g.degree(v)} > r*k = {palette}; "
                 "the per-color degree bound cannot hold"
             )
-    coloring = EdgeColoring(g, r, _bucketed(g, x, r, k))
+    coloring = EdgeColoring(g, r, _bucketed(g.edges, x, r, k))
     soft = [v for v in sorted(x) if g.degree(v) == palette]
     plan = ColoringPlan(
         strategy="vizing_bucket",
@@ -435,29 +435,6 @@ def vizing_bucket_coloring(g: Graph, x_set, r: int, k: int
                     "tight_degree_vertices": soft},
     )
     return coloring, plan
-
-
-def _distinct_cross_colors(cross: list[tuple[tuple[int, int], int, int]],
-                           buckets: int, k: int, first_color: int
-                           ) -> dict[tuple[int, int], int]:
-    """Give the edges (e, anchor, other end) at each anchor pairwise distinct
-    colors from buckets*k, bucketed to first_color..first_color+buckets-1.
-
-    Per-anchor degree in each bucket is then at most k.  Anchors needing
-    more than buckets*k edges raise ConstructionError.
-    """
-    palette = buckets * k
-    used: dict[int, int] = defaultdict(int)
-    out: dict[tuple[int, int], int] = {}
-    for e, anchor, _ in sorted(cross):
-        c = used[anchor] + 1
-        if c > palette:
-            raise ConstructionError(
-                f"vertex {anchor} has more than {palette} edges to color"
-            )
-        used[anchor] = c
-        out[e] = first_color + (c - 1) // k
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -726,7 +703,7 @@ def weakbip_coloring(g: Graph, h: Graph, r: int
     _require_below(g, _weakbip_bound(p, r))
     k = p.delta2 - 1
     x, y = _degree_split(g, r * k - 1, Fraction(r * (p.n1 + p.n2), 2))
-    colors = _bucketed(g, x, r, k)
+    colors = _bucketed(g.edges, x, r, k)
     y_colors, y_method = _color_small_part(
         g, y, n_bound=p.n1 + p.n2, first_color=r + 1, num_colors=r, target=h
     )
@@ -776,7 +753,7 @@ def gen2_coloring(g: Graph, h: Graph, r: int, seed: int = 0,
     x, y = _degree_split(g, r * k1 - 1, Fraction(r * n1, 2))
     # intra-X buckets, colors 1..r; every case below recolors the X-to-Y
     # edges the bucket lemma also colors
-    colors = _bucketed(g, x, r, k1)
+    colors = _bucketed(g.edges, x, r, k1)
     # inside Y, colors r+1..2r
     y_colors, y_method = _color_small_part(
         g, y, n_bound=n1 + n2, first_color=r + 1, num_colors=r, target=h
@@ -795,7 +772,9 @@ def gen2_coloring(g: Graph, h: Graph, r: int, seed: int = 0,
     if d1 <= d2:
         # Case 1: bucket the interface at width delta1 - 1, colors 2r+1..3r
         params["case"] = "1"
-        colors.update(_distinct_cross_colors(cross, r, k1, 2 * r + 1))
+        # X vertices have degree at most r k1 - 1, within the lemma's cap
+        interface = _bucketed([e for e, _, _ in cross], x, r, k1)
+        colors.update((e, 2 * r + c) for e, c in interface.items())
     elif n1 <= n2:
         # Case 2: split Y by index mod r into parts below n1, color by part
         params["case"] = "2"
@@ -815,9 +794,11 @@ def gen2_coloring(g: Graph, h: Graph, r: int, seed: int = 0,
         x1 = sorted(x - x0)
         parts["X0"] = tuple(sorted(x0))
         parts["X1"] = tuple(x1)
-        cross_x0 = [c for c in cross if c[1] in x0]
         cross_x1 = [c for c in cross if c[1] not in x0]
-        colors.update(_distinct_cross_colors(cross_x0, r, k0, 2 * r + 1))
+        # bucket the X0 interface at width delta2 - 1, colors 2r+1..3r; X0
+        # vertices have at most r k0 - 1 neighbors in Y, within the cap
+        interface = _bucketed([e for e, a, _ in cross if a in x0], x0, r, k0)
+        colors.update((e, 2 * r + c) for e, c in interface.items())
         split = case3_split
         if split is None:
             split = "3.1" if 64 * r ** 4 * d1 * d1 >= n1 else "3.2"
@@ -928,7 +909,7 @@ def double_star_coloring(g: Graph, h: Graph, r: int
     r_low = r // 2
     r_high = r - r_low
     x, y = _degree_split(g, r_low * m - 1, Fraction(r_high, 2) * (n + m))
-    colors = _bucketed(g, x, r_low, m)
+    colors = _bucketed(g.edges, x, r_low, m)
     y_colors, y_method = _color_small_part(
         g, y, n_bound=n + m + 2, first_color=r_low + 1, num_colors=r_high,
         target=h,

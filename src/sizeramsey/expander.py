@@ -171,6 +171,11 @@ def check_local_sparsity(g: Graph, delta: float, k_max: int,
     """Check that every vertex set S with |S| <= k_max spans at most
     (1 + delta)|S| edges.
 
+    The (1 + delta)|S| form, and the cap k_max = floor(delta N) that
+    `appendix_trial` passes, are this package's reading of the paper's
+    appendix argument; PAPER.md holds only the abstract, so the form is
+    not checked against the paper here.
+
     A minimal violating set is connected (edge counts add over components),
     so only connected sets are enumerated, all of them up to the budget.
     k_max <= 0 makes the property vacuous.

@@ -44,7 +44,7 @@ from sizeramsey.colorings import (
     _exhaustive_proper,
     _proper_coloring,
 )
-from sizeramsey.graphs import edges_within
+from sizeramsey.graphs import edges_within, profile
 
 import helpers
 
@@ -345,6 +345,9 @@ def test_gen2_rejects_stars():
 # colors X-to-Y edges, so the paths that only run with Y nonempty are
 # checked unaided by certify's fallback
 GEN2_PATHS = [
+    # the cycle C6 that the benchmark certifies at r = 3: every X vertex
+    # meets both Y vertices, so its two interface edges take colors 7 and 8
+    ("EhEG", 3, complete_bipartite(2, 3), 0, None, "1", {"X": 3, "Y": 2}, 8),
     ("EkE?", 3, parse_graph6("HPhoP?c"), 0, None, "2",
      {"X": 8, "Y": 1, "Y_0": 1}, 7),
     ("HhOK?C@", 2, complete_bipartite(2, 4), 0, None, "3.1",
@@ -365,7 +368,7 @@ GEN2_PATHS = [
 
 @pytest.mark.parametrize("target6, r, host, seed, split, case, sizes, first",
                          GEN2_PATHS,
-                         ids=["2", "3.1", "3.2a", "3.2b", "3.2-heavy-Y0"])
+                         ids=["1", "2", "3.1", "3.2a", "3.2b", "3.2-heavy-Y0"])
 def test_gen2_colors_the_x_to_y_interface(target6, r, host, seed, split, case,
                                           sizes, first):
     target = parse_graph6(target6)
@@ -373,6 +376,15 @@ def test_gen2_colors_the_x_to_y_interface(target6, r, host, seed, split, case,
     assert plan.parameters["case"] == case
     assert {name: len(part) for name, part in plan.parts.items()} == sizes
     assert any(c >= first for c in coloring.used_colors())
+    if case != "2":
+        # the bucket lemma's per-anchor bound on colors 2r+1..3r: X at
+        # width delta1 - 1 in Case 1, X0 at width delta2 - 1 in Case 3
+        prof = profile(target)
+        anchors, width = (("X", prof.delta1 - 1) if case == "1"
+                          else ("X0", prof.delta2 - 1))
+        for a in plan.parts[anchors]:
+            degrees = per_color_degrees(coloring, a)
+            assert all(degrees.get(c, 0) <= width for c in range(2 * r + 1, 3 * r + 1))
     assert mono_copy(coloring, target) is None
     cert = certify("gen2", host, target, r, seed=seed, case3_split=split)
     assert cert.verdict == "verified"
