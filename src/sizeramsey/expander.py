@@ -14,7 +14,11 @@ failing set or at the budget.  Expansion is evaluated on a table of
 neighbor bitmasks built once per check (bit w of nb[u] is set when w is
 adjacent to u), so a set's boundary costs a few int operations per
 member.  Each report says whether its sets were all of them, a random
-sample, or none because the property is vacuous.
+sample, or none because the property is vacuous.  Sampled expansion sets
+are drawn straight from `getrandbits`, size first, by the rejection rule
+that CPython 3.11's `randint` and `sample` follow on large hosts; the
+distribution is theirs, and no pinned trial report moved when the sampler
+replaced those calls.
 """
 
 from __future__ import annotations
@@ -126,6 +130,34 @@ class SetCheckReport:
 _SAMPLES = 2000
 
 
+def _random_sets(n: int, limit: int, seed: int):
+    """Yield _SAMPLES random subsets of range(n), each of a size uniform on
+    1..limit, for 1 <= limit <= n; deterministic in seed.
+
+    Each set's size is drawn first, as 1 + b with b = getrandbits(k) for
+    k = limit.bit_length(), redrawn while b >= limit.  Members are then
+    j = getrandbits(n.bit_length()), kept only when j < n, until the set
+    holds that many vertices, so each set is a uniform subset of its size.
+    These are exactly the getrandbits calls of randint(1, limit) followed
+    by sample(range(n), size) wherever n exceeds sample's set-size
+    threshold (21 for at most 5 members, 85 for 6 to 21); at one C call per
+    number they skip those methods' Python frames.
+    """
+    getrandbits = random.Random(seed).getrandbits
+    size_bits = limit.bit_length()
+    member_bits = n.bit_length()
+    for _ in range(_SAMPLES):
+        b = getrandbits(size_bits)
+        while b >= limit:
+            b = getrandbits(size_bits)
+        xs = set()
+        while len(xs) <= b:
+            j = getrandbits(member_bits)
+            if j < n:
+                xs.add(j)
+        yield xs
+
+
 def _first_failure(sets, fails, budget: int, exhaustive: bool) -> SetCheckReport:
     """Check the sets in turn until one fails or the budget runs out.
 
@@ -178,10 +210,13 @@ def check_local_sparsity(g: Graph, delta: float, k_max: int,
 
     A minimal violating set is connected (edge counts add over components),
     so only connected sets are enumerated, all of them up to the budget.
-    k_max <= 0 makes the property vacuous.
+    k_max <= 0 makes the property vacuous.  A NaN delta and a negative
+    budget are domain errors.
     """
-    if delta < 0:
+    if not delta >= 0:
         raise DomainError(f"delta must be >= 0, got {delta}")
+    if budget < 0:
+        raise DomainError(f"need budget >= 0, got {budget}")
     if k_max <= 0:
         return SetCheckReport("vacuous", True, None, 0)
 
@@ -201,12 +236,20 @@ def check_expansion(g: Graph, factor: int, max_set: int,
 
     The empty graph fails outright: it expands nothing.  Hosts of at most
     24 vertices have every subset enumerated, up to the budget; larger
-    hosts get 2000 random subsets drawn from seed, and their pass is
-    explicitly non-exhaustive.  A set's outside neighbors are counted on
-    neighbor bitmasks: the union of nb[u] over members, less the members.
+    hosts get 2000 random subsets drawn from seed by `_random_sets`, and
+    their pass is explicitly non-exhaustive.  Each sampled set has a size
+    uniform on 1..min(max_set, N) and is then a uniform subset of that
+    size.  The sampler makes the same getrandbits calls as the
+    randint-then-sample draw it replaced whenever N is above sample's
+    set-size threshold; on smaller hosts the sets differ but keep their
+    distribution, and no pinned trial report moved.  A set's outside
+    neighbors are counted on neighbor bitmasks: the union of nb[u] over
+    members, less the members.  A negative budget is a domain error.
     """
     if factor < 0 or max_set < 0:
         raise DomainError("factor and max_set must be nonnegative")
+    if budget < 0:
+        raise DomainError(f"need budget >= 0, got {budget}")
     if g.vertex_count == 0:
         return SetCheckReport("fail", True, (), 0)
     n = g.vertex_count
@@ -228,10 +271,7 @@ def check_expansion(g: Graph, factor: int, max_set: int,
         sets = (xs for size in range(1, limit + 1)
                 for xs in combinations(range(n), size))
     else:
-        rng = random.Random(seed)
-        # the size is drawn before the members, as trial reports depend on it
-        sets = (rng.sample(range(n), rng.randint(1, limit))
-                for _ in range(_SAMPLES))
+        sets = _random_sets(n, limit, seed)
     return _first_failure(sets, expands_too_little, budget, exhaustive)
 
 

@@ -5,7 +5,7 @@ import math
 import json
 import random
 from dataclasses import astuple
-from itertools import combinations
+from itertools import combinations, islice
 
 import pytest
 
@@ -93,6 +93,19 @@ def test_local_sparsity_outcomes():
         check_local_sparsity(path_graph(4), -0.5, 2)
 
 
+def test_set_checks_reject_nan_delta_and_negative_budget():
+    # a NaN delta compares false with every edge count, so K6 would "pass"
+    assert check_local_sparsity(complete_graph(6), 0.0, 4).outcome == "fail"
+    with pytest.raises(DomainError):
+        check_local_sparsity(complete_graph(6), float("nan"), 4)
+    # a negative budget is never reached, so it would check every set
+    with pytest.raises(DomainError):
+        check_local_sparsity(complete_graph(6), 0.0, 4, budget=-1)
+    with pytest.raises(DomainError):
+        check_expansion(complete_graph(9), 2, 5, budget=-1)
+    assert check_expansion(complete_graph(9), 2, 5, budget=0).checked == 0
+
+
 def test_expansion_outcomes():
     # K9: any X of size at most 3 sees all remaining vertices
     rep = check_expansion(complete_graph(9), 2, 3)
@@ -122,6 +135,35 @@ def test_expansion_auto_mode_switches():
     big = check_expansion(sample_gnp(30, 0.9, 0), 1, 2, seed=3)
     assert big.outcome == "pass" and not big.exhaustive
     assert big.checked == 2000
+
+
+def test_random_sets_sizes_members_and_seed():
+    n, limit = 100, 12
+    sets = list(expander._random_sets(n, limit, 4))
+    assert len(sets) == 2000
+    assert all(1 <= len(xs) <= limit and set(xs) <= set(range(n)) for xs in sets)
+    # members are distinct, whatever container carries them
+    assert all(len(set(xs)) == len(xs) for xs in sets)
+    assert {len(xs) for xs in sets} == set(range(1, limit + 1))
+    assert [sorted(xs) for xs in expander._random_sets(n, limit, 4)] == \
+        [sorted(xs) for xs in sets]
+    assert [sorted(xs) for xs in expander._random_sets(n, limit, 5)] != \
+        [sorted(xs) for xs in sets]
+
+
+def test_random_sets_end_when_limit_is_the_whole_host():
+    sets = list(expander._random_sets(25, 25, 0))
+    assert len(sets) == 2000 and max(len(xs) for xs in sets) == 25
+    rep = check_expansion(complete_graph(25), 0, 25)
+    assert rep.outcome == "pass" and not rep.exhaustive and rep.checked == 2000
+
+
+def test_random_sets_are_pinned():
+    # 200 vertices is above random.sample's set-size threshold, where these
+    # are also the sets of rng.sample(range(200), rng.randint(1, 10))
+    first = [sorted(xs) for xs in islice(expander._random_sets(200, 10, 11), 50)]
+    assert hashlib.sha256(json.dumps(first).encode()).hexdigest() == (
+        "abd17c03a190db82ef39efc629cde3f00e1e749b8ad744c2ecb7372e1dcbcf33")
 
 
 # the references return SetCheckReport's fields as a tuple:
@@ -171,9 +213,23 @@ def _expansion_reference(g, factor, max_set, budget, seed):
         sets = (xs for size in range(1, limit + 1)
                 for xs in combinations(range(n), size))
     else:
+        # the documented draw: a size uniform on 1..limit, then distinct
+        # members uniform on range(n), each number by getrandbits rejection
         rng = random.Random(seed)
-        sets = (rng.sample(range(n), rng.randint(1, limit))
-                for _ in range(2000))
+
+        def below(m):
+            x = rng.getrandbits(m.bit_length())
+            while x >= m:
+                x = rng.getrandbits(m.bit_length())
+            return x
+
+        def draw():
+            size, members = 1 + below(limit), set()
+            while len(members) < size:
+                members.add(below(n))
+            return members
+
+        sets = (draw() for _ in range(2000))
     return _first_failure_reference(sets, expands_too_little, budget, n <= 24)
 
 
